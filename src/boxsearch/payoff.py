@@ -8,12 +8,14 @@ the expected detection time is
 Truncating the sum after R terms gives a lower bound. An upper bound
 follows from a worst-case continuation: under any Gittins sequence no more
 than l_hat time passes between successive visits of a box, so the tail is
-at most l_hat (1-alpha_i)^{R+1} / alpha_i. payoff() grows R until the
-bracket's relative width is below tolerance (default 1e-10).
+at most l_hat (1-alpha_i)^{R+1} / alpha_i. payoff_truncated() gives the
+bracket for a fixed R.
 
-Cyclic games shortcut the series: once the sequence cycles, the tail is a
-geometric sum with ratio (1-alpha_i)^{x_i} and the value has a closed
-form, exact up to rounding.
+payoff() is the one evaluator every caller uses. On a cyclic game, once
+the sequence's cycle is known, the tail is a geometric sum with ratio
+(1-alpha_i)^{x_i} and payoff() returns the closed form of payoff_cyclic()
+as a zero-width bracket, exact up to rounding. Otherwise it grows R until
+the series bracket's relative width is below PAYOFF_REL_TOL.
 
 Every mixed payoff here is interval arithmetic over per-box brackets, so
 reported values are certified brackets rather than point estimates. A box
@@ -28,15 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoxNeverSearched,
-    InvalidMixture,
-    NoCycleDetected,
-    NotCyclic,
-    PerfectDetectionUnsupported,
-)
+from .errors import BoxNeverSearched, InvalidMixture, NoCycleDetected, NotCyclic
 from .gittins import SearchSequence, from_pattern
 from .model import HidingStrategy, SearchGame, Seed
+
+# relative width of series brackets; certified value bounds are built from
+# these brackets and can never be tighter, so keep this well below any
+# solver epsilon
+PAYOFF_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,32 +84,21 @@ class TailBoundParams:
 def tail_params(game: SearchGame) -> TailBoundParams:
     """Worst-case visit spacing under any Gittins sequence.
 
-    l = floor(max_{i,j} log(1-alpha_i)/log(1-alpha_j)) + 1, so that
-    (1-alpha_j)^l < 1-alpha_i for every pair; l_hat = sum_j l * t_j.
+    Over the boxes with alpha_j < 1, l = floor(max_{i,j} log(1-alpha_i) /
+    log(1-alpha_j)) + 1, so that (1-alpha_j)^l < 1-alpha_i for every pair.
+    l_hat = l * (their t_j summed), plus the t_j of each perfect box once:
+    a perfect box is searched at most once ever. With no imperfect box,
+    l = 0 and l_hat = 0.
     """
-    if game.has_perfect_box():
-        raise PerfectDetectionUnsupported(
-            "tail bound degenerates when some alpha_i = 1"
-        )
-    logs = [math.log1p(-a) for a in game.alpha]
-    ratio = max(li / lj for li in logs for lj in logs)
-    l = int(math.floor(ratio)) + 1
-    return TailBoundParams(l=l, l_hat=l * math.fsum(game.t))
-
-
-def _tail_time(game: SearchGame) -> float:
-    """l_hat, extended to games containing perfect boxes: a perfect box is
-    searched at most once ever, so it contributes its t_j only once."""
-    if not game.has_perfect_box():
-        return tail_params(game).l_hat
     finite = [j for j in range(game.n) if game.alpha[j] < 1.0]
     if not finite:
-        return 0.0
+        return TailBoundParams(l=0, l_hat=0.0)
     logs = [math.log1p(-game.alpha[j]) for j in finite]
     l = int(math.floor(max(li / lj for li in logs for lj in logs))) + 1
-    return l * math.fsum(game.t[j] for j in finite) + math.fsum(
+    l_hat = l * math.fsum(game.t[j] for j in finite) + math.fsum(
         game.t[j] for j in range(game.n) if game.alpha[j] == 1.0
     )
+    return TailBoundParams(l=l, l_hat=l_hat)
 
 
 def payoff_truncated(
@@ -131,18 +121,22 @@ def payoff_truncated(
     else:
         tail_factor = 1.0 - a
     if tail_time is None:
-        tail_time = _tail_time(game)
+        tail_time = tail_params(game).l_hat
     return lower, lower + tail_time * tail_factor / a
 
 
 def payoff(
-    game: SearchGame, i: int, xi: SearchSequence, rel_tol: float = 1e-10
+    game: SearchGame, i: int, xi: SearchSequence,
+    rel_tol: float = PAYOFF_REL_TOL,
 ) -> PayoffBracket | _InfinitePayoff:
-    """Bracket u(i, xi) to relative width rel_tol, extending xi on demand.
+    """Bracket u(i, xi), extending xi on demand.
 
-    Returns INFINITE_PAYOFF when xi provably never searches box i (the
-    p_i = 0 case). Results are memoized on the sequence, keyed by
-    (box, rel_tol): extension is append-only so a bracket never goes stale.
+    On a cyclic game whose sequence has a detected cycle the bracket is the
+    exact closed form (zero width, searches_used 0); otherwise it is the
+    series bracket to relative width rel_tol. Returns INFINITE_PAYOFF when
+    xi provably never searches box i (the p_i = 0 case). Results are
+    memoized on the sequence, keyed by (box, rel_tol): extension is
+    append-only so a bracket never goes stale.
     """
     cached = xi._payoff_cache.get((i, rel_tol))
     if cached is not None:
@@ -153,6 +147,9 @@ def payoff(
 
 
 def _payoff_uncached(game, i, xi, rel_tol):
+    if game.cyclic is not None and xi.cycle is not None:
+        v = payoff_cyclic(game, i, xi)
+        return PayoffBracket(v, v, 0)
     if xi.num_visits(i) == 0 and not xi.can_visit_more(i):
         return INFINITE_PAYOFF
     a = game.alpha[i]
@@ -160,7 +157,7 @@ def _payoff_uncached(game, i, xi, rel_tol):
         xi.ensure_visits(i, 1)
         tau1 = xi.visit_times(i)[0]
         return PayoffBracket(tau1, tau1, 0)
-    tail = _tail_time(game)
+    tail = tail_params(game).l_hat
     q = 1.0 - a
     # first R with tail <= rel_tol * t_i; t_i <= tau_i(1) <= lower always
     R = max(1, math.ceil(math.log(rel_tol * game.t[i] * a / tail) / math.log(q)))
@@ -223,14 +220,14 @@ def round_robin_sequence(game: SearchGame) -> SearchSequence:
 
 def expected_payoff(
     game: SearchGame, p: HidingStrategy, xi: SearchSequence,
-    rel_tol: float = 1e-10,
+    rel_tol: float = PAYOFF_REL_TOL,
 ) -> PayoffBracket:
     """u(p, xi) = sum_i p_i u(i, xi) with interval arithmetic.
 
     Boxes with p_i = 0 contribute nothing, even when their payoff is the
-    infinite sentinel.
+    infinite sentinel. Each side is summed with fsum.
     """
-    lower = upper = 0.0
+    lower, upper = [], []
     used = 0
     for i, pi in enumerate(p.p):
         if pi == 0.0:
@@ -240,17 +237,17 @@ def expected_payoff(
             raise BoxNeverSearched(
                 f"box {i} has p_i = {pi} > 0 but is never searched"
             )
-        lower += pi * br.lower
-        upper += pi * br.upper
+        lower.append(pi * br.lower)
+        upper.append(pi * br.upper)
         used = max(used, br.searches_used)
-    return PayoffBracket(lower, upper, used)
+    return PayoffBracket(math.fsum(lower), math.fsum(upper), used)
 
 
 def mixed_payoff(
     game: SearchGame,
     target: int | HidingStrategy,
     theta: list[tuple[float, SearchSequence]],
-    rel_tol: float = 1e-10,
+    rel_tol: float = PAYOFF_REL_TOL,
 ) -> PayoffBracket:
     """u(target, theta) for a searcher mixture theta over sequences.
 

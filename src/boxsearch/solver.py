@@ -44,23 +44,24 @@ from .gittins import (
 )
 from .lp import LpSolution, PayoffMatrix, recover_searcher_mixture, solve_hider_lp
 from .model import HidingStrategy, SearchGame, p0
-from .payoff import PayoffBracket, expected_payoff, payoff, payoff_cyclic
+from .payoff import PayoffBracket, expected_payoff, payoff
 
 P0_OPT_REL_THRESHOLD = 1e-9
+
+# prefix length of the pool's dedupe keys: distinct Gittins counters
+# diverge within their first tie, and ties vanish after n searches for
+# sampled games, so a prefix suffices
+DEDUPE_HORIZON = 64
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """epsilon is the relative-gap target; keep payoff_rel_tol well below
-    it, since certified bounds can never be tighter than the payoff
-    brackets they are built from."""
+    """epsilon is the relative-gap target of the certified bracket [L, U];
+    max_iterations caps the cutting-plane loop. Payoff brackets are built
+    to PAYOFF_REL_TOL (1e-10), so epsilon should stay well above it."""
 
     epsilon: float = 1e-6
     max_iterations: int = 10000
-    shrink: float = 0.99
-    payoff_rel_tol: float = 1e-10
-    initial_sequences: int | None = None  # None: one per cyclic rotation (n)
-    dedupe_horizon: int = 64
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -72,6 +73,8 @@ class SolveConfig:
 class Termination(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
+    # the pool already held the best response, so no cut could be added
+    STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -139,45 +142,22 @@ def _counter_sequence(game: SearchGame, p: HidingStrategy,
     )
 
 
-def _column_values(game: SearchGame, seq: SearchSequence,
-                   rel_tol: float) -> tuple[np.ndarray, float]:
+def _column_values(game: SearchGame,
+                   seq: SearchSequence) -> tuple[np.ndarray, float]:
     """Midpoint payoffs u(i, seq) for all boxes and their worst bracket
-    half-width (exact, zero-width, on cyclic cycles)."""
-    if game.cyclic is not None and seq.cycle is not None:
-        values = [payoff_cyclic(game, i, seq) for i in range(game.n)]
-        return np.array(values), 0.0
-    brackets = [payoff(game, i, seq, rel_tol) for i in range(game.n)]
+    half-width (zero on cyclic cycles, where brackets are exact)."""
+    brackets = [payoff(game, i, seq) for i in range(game.n)]
     half = max(0.5 * b.width for b in brackets)
     return np.array([b.midpoint for b in brackets]), half
 
 
-def _lower_bracket(game: SearchGame, p: HidingStrategy, seq: SearchSequence,
-                   rel_tol: float) -> PayoffBracket:
-    """Certified bracket of u(p, seq) (zero-width on cyclic cycles)."""
-    if game.cyclic is not None and seq.cycle is not None:
-        val = math.fsum(
-            pi * payoff_cyclic(game, i, seq)
-            for i, pi in enumerate(p.p) if pi > 0
-        )
-        return PayoffBracket(val, val, 0)
-    return expected_payoff(game, p, seq, rel_tol)
-
-
-def _upper_value(game: SearchGame, i: int, seq: SearchSequence,
-                 rel_tol: float) -> float:
-    if game.cyclic is not None and seq.cycle is not None:
-        return payoff_cyclic(game, i, seq)
-    return payoff(game, i, seq, rel_tol).upper
-
-
-def _mixture_certificate(game: SearchGame, theta, sequences,
-                         rel_tol: float) -> float:
+def _mixture_certificate(game: SearchGame, theta, sequences) -> float:
     """max_i u(i, theta) over bracket upper bounds: a rigorous upper bound
     on the game value for any searcher mixture theta, independent of LP
     rounding."""
     return max(
         math.fsum(
-            w * _upper_value(game, i, seq, rel_tol)
+            w * payoff(game, i, seq).upper
             for w, seq in zip(theta, sequences) if w > 0
         )
         for i in range(game.n)
@@ -185,7 +165,7 @@ def _mixture_certificate(game: SearchGame, theta, sequences,
 
 
 def best_response_value(
-    game: SearchGame, p: HidingStrategy, rel_tol: float = 1e-10
+    game: SearchGame, p: HidingStrategy
 ) -> tuple[PayoffBracket, SearchSequence]:
     """u(p) with a certified bracket, and the Gittins counter achieving it.
 
@@ -194,13 +174,7 @@ def best_response_value(
     degenerate_support).
     """
     seq = _counter_sequence(game, p, exact_ties=True)
-    return _lower_bracket(game, p, seq, rel_tol), seq
-
-
-def _dedupe_key(seq: SearchSequence, horizon: int) -> tuple[int, ...]:
-    # distinct Gittins counters diverge within their first tie, and ties
-    # vanish after n searches for sampled games, so a prefix suffices
-    return seq.prefix(horizon)
+    return expected_payoff(game, p, seq), seq
 
 
 _DEDUPE_CONFIRM_CAP = 1 << 16
@@ -233,7 +207,7 @@ class _SequencePool:
 
     def add(self, seq: SearchSequence) -> bool:
         """Record seq; False when an identical sequence is already held."""
-        bucket = self._buckets.setdefault(_dedupe_key(seq, self.horizon), [])
+        bucket = self._buckets.setdefault(seq.prefix(self.horizon), [])
         for other in bucket:
             if _same_sequence(seq, other, self.horizon):
                 return False
@@ -250,27 +224,24 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
             "for perfect-detection studies"
         )
     n = game.n
-    floors = hider_floor(game, cfg.shrink)
+    floors = hider_floor(game)
     delta = np.asarray(floors.delta)
     start = p0(game)
 
-    horizon = cfg.dedupe_horizon
+    horizon = DEDUPE_HORIZON
     if game.cyclic is not None:
         horizon = max(horizon, 4 * game.cyclic.x_hat)
 
-    orderings = initial_orderings(n)
-    if cfg.initial_sequences is not None:
-        orderings = all_orderings(n)[: cfg.initial_sequences]
     pool = _SequencePool(horizon)
     sequences: list[SearchSequence] = []
-    for sigma in orderings:
+    for sigma in initial_orderings(n):
         seq = _counter_sequence(game, start, sigma, force_sigma_prefix=True)
         if pool.add(seq):
             sequences.append(seq)
     columns = []
     worst_half = 0.0
     for seq in sequences:
-        values, half = _column_values(game, seq, cfg.payoff_rel_tol)
+        values, half = _column_values(game, seq)
         columns.append(values)
         worst_half = max(worst_half, half)
 
@@ -288,8 +259,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         # half-width keeps the reported upper bound certified
         upper = lp.v + worst_half
         response = _counter_sequence(game, lp.p, exact_ties=True)
-        bracket = _lower_bracket(game, lp.p, response, cfg.payoff_rel_tol)
-        lower = bracket.lower
+        lower = expected_payoff(game, lp.p, response).lower
         gap = upper / lower - 1.0
         done = gap < cfg.epsilon and not any(lp.binding)
 
@@ -300,9 +270,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
             else:
                 added = len(sequences)
                 sequences.append(response)
-                values, half = _column_values(
-                    game, response, cfg.payoff_rel_tol
-                )
+                values, half = _column_values(game, response)
                 columns.append(values)
                 worst_half = max(worst_half, half)
         trace.append(IterationRecord(k, upper, lower, gap, added, lp.binding))
@@ -314,14 +282,16 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     # the final LP predates any column added in its own iteration
     theta_full = [float(w) for w in theta]
     theta_full += [0.0] * (len(sequences) - len(theta_full))
-    converged = final.gap < cfg.epsilon and not any(final.binding)
     upper = final.upper
-    if converged:
+    if final.gap < cfg.epsilon and not any(final.binding):
+        termination = Termination.CONVERGED
         # replace the LP value (subject to pivot rounding) by the dual
         # certificate: with no floor binding the two agree to ~1e-12
-        upper = _mixture_certificate(
-            game, theta_full, sequences, cfg.payoff_rel_tol
-        )
+        upper = _mixture_certificate(game, theta_full, sequences)
+    elif stalled:
+        termination = Termination.STALLED
+    else:
+        termination = Termination.MAX_ITERATIONS
     return Solution(
         p_star=lp.p,
         theta=tuple(theta_full),
@@ -330,18 +300,11 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         U=upper,
         iterations=final.iteration,
         trace=tuple(trace),
-        termination=(
-            Termination.CONVERGED if converged else Termination.MAX_ITERATIONS
-        ),
+        termination=termination,
     )
 
 
-def test_p0_optimality(
-    game: SearchGame,
-    cap: int = 8,
-    dedupe_horizon: int = 64,
-    payoff_rel_tol: float = 1e-10,
-) -> P0TestResult:
+def test_p0_optimality(game: SearchGame) -> P0TestResult:
     """Decide exactly whether p0 is an optimal hiding strategy.
 
     Builds every sigma-deterministic Gittins counter to p0 (n! tie
@@ -352,19 +315,19 @@ def test_p0_optimality(
     """
     n = game.n
     start = p0(game)
-    horizon = dedupe_horizon
+    horizon = DEDUPE_HORIZON
     if game.cyclic is not None:
         horizon = max(game.cyclic.x_hat, n)
 
     pool = _SequencePool(horizon)
     sequences: list[SearchSequence] = []
-    for sigma in all_orderings(n, cap):
+    for sigma in all_orderings(n):
         seq = _counter_sequence(game, start, sigma, force_sigma_prefix=True)
         if pool.add(seq):
             sequences.append(seq)
 
     u = np.column_stack(
-        [_column_values(game, seq, payoff_rel_tol)[0] for seq in sequences]
+        [_column_values(game, seq)[0] for seq in sequences]
     )
     matrix = PayoffMatrix(u=u, column_ids=tuple(range(len(sequences))))
     lp = solve_hider_lp(matrix, np.zeros(n))
@@ -373,7 +336,7 @@ def test_p0_optimality(
     p0_vec = start.as_array()
     col_values = p0_vec @ u
     best_col = int(np.argmin(col_values))
-    u_p0 = _lower_bracket(game, start, sequences[best_col], payoff_rel_tol)
+    u_p0 = expected_payoff(game, start, sequences[best_col])
     optimal = abs(u_p0.midpoint - lp.v) / lp.v < P0_OPT_REL_THRESHOLD
     return P0TestResult(
         optimal=optimal,

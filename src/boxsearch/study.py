@@ -123,14 +123,12 @@ def _run_one(idx, scheme_name, game, config, test_p0) -> BatchRecord:
     started = time.perf_counter()
     p0_optimal: bool | None = None
     if test_p0:
-        result = test_p0_optimality(
-            game, payoff_rel_tol=config.payoff_rel_tol
-        )
+        result = test_p0_optimality(game)
         p0_optimal = result.optimal
         u_p0 = result.u_p0.midpoint
         v_star = result.v_D
     else:
-        bracket, _ = best_response_value(game, p0(game), config.payoff_rel_tol)
+        bracket, _ = best_response_value(game, p0(game))
         u_p0 = bracket.midpoint
         v_star = math.nan
     iterations = 0

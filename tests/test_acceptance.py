@@ -83,9 +83,15 @@ def test_c2_cyclic_closed_form():
     exact = {0: 2.0, 1: 10.0 / 3.0}
     for i, value in exact.items():
         assert abs(payoff_cyclic(game, i, seq) - value) / value < 1e-12
-        bracket = payoff(game, i, seq, rel_tol=1e-10)
-        assert bracket.lower * (1 - 1e-15) <= value <= bracket.upper * (1 + 1e-15)
-        assert abs(bracket.midpoint - value) / value < 1e-10
+        # the series side, independent of the closed form: double the
+        # truncation depth until the bracket is within 1e-10 relative
+        R = 1
+        lower, upper = payoff_truncated(game, i, seq, R)
+        while upper > lower * (1 + 1e-10):
+            R *= 2
+            lower, upper = payoff_truncated(game, i, seq, R)
+        assert lower * (1 - 1e-15) <= value <= upper * (1 + 1e-15)
+        assert abs(0.5 * (lower + upper) - value) / value < 1e-10
     _report("2", "u = 2 and 10/3 exact to 1e-12; series brackets agree to 1e-10")
 
 

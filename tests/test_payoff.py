@@ -36,7 +36,6 @@ from boxsearch.errors import (
     InvalidMixture,
     NoCycleDetected,
     NotCyclic,
-    PerfectDetectionUnsupported,
 )
 from boxsearch.gittins import from_boxes, from_pattern
 from boxsearch.payoff import round_robin_sequence
@@ -48,6 +47,18 @@ def identical() -> SearchGame:
 
 def alternating(game):
     return from_pattern(game, (0, 1))
+
+
+def series_bracket(game, i, seq, rel_tol=1e-10):
+    """Series bracket of u(i, seq) from payoff_truncated alone, doubling R
+    until its relative width is within rel_tol: an evaluation independent
+    of the closed form that payoff() returns on cycled sequences."""
+    R = 1
+    while True:
+        lower, upper = payoff_truncated(game, i, seq, R)
+        if upper <= lower * (1.0 + rel_tol):
+            return lower, upper
+        R *= 2
 
 
 class TestTailParams:
@@ -67,10 +78,24 @@ class TestTailParams:
         assert params.l == 2
         assert params.l_hat == 4.0
 
-    def test_perfect_detection_rejected(self):
+    def test_perfect_box_counted_once(self):
+        # l over the imperfect box alone; the perfect box adds its t once
         game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 1.0), allow_perfect=True)
-        with pytest.raises(PerfectDetectionUnsupported):
-            tail_params(game)
+        params = tail_params(game)
+        assert params.l == 2
+        assert params.l_hat == 3.0
+        br = payoff(game, 1, from_boxes(game, (0, 1)))
+        assert (br.lower, br.upper) == (2.0, 2.0)
+        # alternating with the perfect box: tau_0(r) = 2r - 1, u = 3
+        br = payoff(game, 0, alternating(game))
+        assert math.isfinite(br.upper)
+        assert br.lower <= 3.0 <= br.upper
+        assert br.upper / br.lower - 1.0 < 1e-10
+
+    def test_only_perfect_boxes(self):
+        game = SearchGame(t=(2.0, 3.0), alpha=(1.0, 1.0), allow_perfect=True)
+        params = tail_params(game)
+        assert (params.l, params.l_hat) == (0, 0.0)
 
 
 class TestPayoffTruncated:
@@ -151,10 +176,10 @@ class TestPayoffCyclic:
         game = self.game()
         seq = cyclic_sequence(game)
         for i, exact in ((0, 2.0), (1, 10 / 3)):
-            br = payoff(game, i, seq)
-            assert br.lower <= exact * (1 + 1e-10)
-            assert br.upper >= exact * (1 - 1e-10)
-            assert br.midpoint == pytest.approx(exact, rel=1e-9)
+            lower, upper = series_bracket(game, i, seq)
+            assert lower <= exact * (1 + 1e-10)
+            assert upper >= exact * (1 - 1e-10)
+            assert 0.5 * (lower + upper) == pytest.approx(exact, rel=1e-9)
 
     def test_agreement_on_random_cyclic_games(self):
         rng = np.random.default_rng(42)
@@ -171,9 +196,23 @@ class TestPayoffCyclic:
             seq = cyclic_sequence(game, p)
             for i in range(n):
                 exact = payoff_cyclic(game, i, seq)
-                assert payoff(game, i, seq).midpoint == pytest.approx(
-                    exact, rel=1e-9
-                )
+                lower, upper = series_bracket(game, i, seq)
+                assert 0.5 * (lower + upper) == pytest.approx(exact, rel=1e-9)
+
+    def test_payoff_uses_closed_form_on_cycles(self):
+        game = self.game()
+        seq = cyclic_sequence(game)
+        for i in range(game.n):
+            exact = payoff_cyclic(game, i, seq)
+            br = payoff(game, i, seq)
+            assert (br.lower, br.upper, br.searches_used) == (exact, exact, 0)
+        # the same game on a sequence without a detected cycle: series
+        plain = from_pattern(game, (0, 1, 1))
+        assert plain.cycle is None
+        for i in range(game.n):
+            br = payoff(game, i, plain)
+            assert br.width > 0.0
+            assert br.searches_used > 0
 
     def test_errors(self):
         game = self.game()

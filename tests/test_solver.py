@@ -23,7 +23,7 @@ from boxsearch import (
 from boxsearch.errors import PerfectDetectionUnsupported
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
-from boxsearch.solver import write_trace
+from boxsearch.solver import _SequencePool, write_trace
 
 
 def identical(alpha=0.5) -> SearchGame:
@@ -147,6 +147,25 @@ class TestSolve:
             assert sol.iterations == 2
             assert sol.L <= full.U * (1 + 1e-9)
         assert full.termination is Termination.CONVERGED
+
+    def test_refused_best_response_reports_stall(self, monkeypatch):
+        game = SearchGame(t=(1.0, 2.0), alpha=(0.3, 0.7))
+        add = _SequencePool.add
+        calls = []
+
+        def add_initial_only(pool, seq):
+            # the n initial counters go in; every best response is refused
+            calls.append(seq)
+            return add(pool, seq) if len(calls) <= game.n else False
+
+        monkeypatch.setattr(_SequencePool, "add", add_initial_only)
+        sol = solve(game, SolveConfig(epsilon=1e-6))
+        assert sol.termination is Termination.STALLED
+        assert sol.termination.value == "stalled"  # as the CLI prints it
+        assert sol.iterations == 1 < SolveConfig().max_iterations
+        assert sol.trace[-1].added_sequence is None
+        assert sol.trace[-1].gap >= 1e-6
+        assert len(sol.sequences) == game.n
 
 
 class TestSolveInvariants:
