@@ -10,10 +10,8 @@ from .bounds import HiderFloor, hider_floor, value_bounds
 from .errors import BoxSearchError
 from .gittins import (
     SearchSequence,
-    SearchState,
     TieOrdering,
     all_orderings,
-    cyclic_sequence,
     gittins_index,
     gittins_sequence,
     initial_orderings,

@@ -46,12 +46,8 @@ class BaseOutOfRange(InvalidGameError):
     pass
 
 
-class NotCyclic(InvalidGameError):
-    """Operation requires a game with a cyclic structure."""
-
-
 class CapExceeded(InvalidGameError):
-    """Requested n! enumeration above the configured cap."""
+    """Requested n! enumeration above the ordering cap."""
 
 
 class InsufficientPrefix(BoxSearchError):
@@ -79,7 +75,7 @@ class FloorUnderflow(NumericalError):
 
 
 class NoCycleDetected(NumericalError):
-    """Cycle detection exhausted its step budget."""
+    """A closed form was requested for a sequence without a cycle."""
 
 
 class Infeasible(NumericalError):

@@ -2,26 +2,28 @@
 
 Against a fixed hiding strategy p, an optimal search sequence always next
 searches a box of maximal index p_i (1-alpha_i)^{m_i} alpha_i / t_i, where
-m_i counts completed searches of box i. Whenever several indices tie, the
-sequence's tie ordering sigma decides: among tied boxes, the one earliest
-in sigma is searched.
+m_i counts completed searches of box i. gittins_sequence() builds every
+such counter, and its tie ordering chooses the tie rule:
 
-Float indices tie reliably only in contrived situations, so generation
-treats indices within relative 1e-9 of the maximum as tied; for sampled
-games no two indices collide after the first n searches, which is the only
-place a tie is by design (the strategy p0 ties all n starting indices, and
-there the first n searches are simply forced to follow sigma).
+- no ordering gives the exact counter: float indices are compared
+  directly and an exact tie goes to the lower box. Best responses use it.
+- an ordering sigma gives the sigma-deterministic counter: indices within
+  relative 1e-9 of the maximum tie, and the box earliest in sigma is
+  searched. The strategy p0 ties all n starting indices by design, so
+  against p0 the first n searches simply follow sigma.
 
 Cyclic games admit an exact integer tie rule: starting from p0, comparing
 fractions r_i/x_i (r_i = searches of box i inside the current cycle)
 reproduces the index order exactly, and every tie is detected. Sequences
 there repeat a fixed cycle of x_hat searches from the very start. For
-other hiding strategies the float generator runs until some window of
-x_hat consecutive searches visits box i exactly x_i times; from that entry
+other full-support strategies generation runs until some window of x_hat
+consecutive searches visits box i exactly x_i times; from that entry
 point the sequence provably repeats the window forever.
 
-Sequences are generated lazily and extended on demand; per-box visit
-completion times are memoized so repeated payoff evaluations never
+A detected cycle is the sequence's periodic tail: past the cycle's entry
+a sequence extends from the cycle's pattern, and otherwise from its index
+stream. Sequences are generated lazily and extended on demand; per-box
+visit completion times are memoized so repeated payoff evaluations never
 regenerate prefixes.
 """
 
@@ -37,15 +39,22 @@ from .errors import (
     InsufficientPrefix,
     InvalidGameError,
     InvalidHidingStrategy,
-    NoCycleDetected,
-    NotCyclic,
     NumericalFailure,
 )
 from .model import HidingStrategy, SearchGame, p0
 
 TIE_REL_TOL = 1e-9
 
+# the n! counters of the p0 test stop being practical above this n
+ORDERING_CAP = 8
+
 _CYCLE_STEP_BUDGET_FACTOR = 10_000
+
+# indices only decay; once the largest falls below _RESCALE_BELOW, all of
+# them are multiplied by its inverse, a power of two, which is exact, so
+# no index ever stalls among the subnormals
+_RESCALE_BELOW = 2.0 ** -600
+_RESCALE = 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,11 @@ def initial_orderings(n: int) -> list[TieOrdering]:
     return [TieOrdering(tuple(base[k:] + base[:k])) for k in range(n)]
 
 
-def all_orderings(n: int, cap: int = 8) -> list[TieOrdering]:
-    """All n! tie orderings, for the p0 optimality test. The cap refuses
-    n above 8, where the 40320 sequences stop being practical."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the ordering cap {cap}")
+def all_orderings(n: int) -> list[TieOrdering]:
+    """All n! tie orderings, for the p0 optimality test. Refuses n above
+    ORDERING_CAP, where the 40320 sequences stop being practical."""
+    if n > ORDERING_CAP:
+        raise CapExceeded(f"n = {n} exceeds the ordering cap {ORDERING_CAP}")
     return [TieOrdering(perm) for perm in itertools.permutations(range(n))]
 
 
@@ -94,18 +103,10 @@ def gittins_index(p_i: float, alpha_i: float, t_i: float, m_i: int) -> float:
 
 
 @dataclass(frozen=True)
-class SearchState:
-    """Snapshot after some searches: per-box completed-search counts and
-    the total time elapsed (always exactly sum_i searched[i] * t_i)."""
-
-    searched: tuple[int, ...]
-    elapsed: float
-
-
-@dataclass(frozen=True)
 class CycleInfo:
-    """Detected cycle: entry[i] = searches of box i before the cycle
-    begins; pattern = the x_hat boxes repeated forever after entry."""
+    """A sequence's periodic tail: entry[i] = searches of box i before
+    the cycle begins; pattern = the boxes repeated forever after entry
+    (x_hat of them for a Gittins counter on a cyclic game)."""
 
     entry: tuple[int, ...]
     pattern: tuple[int, ...]
@@ -116,22 +117,20 @@ class _GittinsDriver:
 
     Maintains current index values by one multiplication per step; drift
     versus recomputing powers is ~1 ulp per step, far below the tie
-    tolerance. An optional forced prefix pins the first n searches to
-    sigma (used for sequences against p0, whose starting tie is exact)."""
+    tolerance. An optional forced prefix pins the first searches to a
+    given order (the designed starting tie at p0)."""
 
-    __slots__ = ("alpha", "t", "idx", "rank", "tol", "forced", "pos")
+    __slots__ = ("alpha", "idx", "rank", "tol", "forced", "pos")
 
     def __init__(self, game: SearchGame, p: HidingStrategy, order: TieOrdering,
-                 forced_prefix: tuple[int, ...] | None = None,
-                 tie_rel_tol: float = TIE_REL_TOL):
+                 tol: float, forced: tuple[int, ...] | None):
         self.alpha = game.alpha
-        self.t = game.t
         self.idx = [
             pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)
         ]
         self.rank = order.rank()
-        self.tol = tie_rel_tol
-        self.forced = forced_prefix
+        self.tol = tol
+        self.forced = forced
         self.pos = 0
 
     def step(self) -> int:
@@ -140,10 +139,11 @@ class _GittinsDriver:
         else:
             idx = self.idx
             best = max(idx)
-            if best <= 0.0:
-                raise NumericalFailure(
-                    "all Gittins indices are zero (underflow or empty support)"
-                )
+            if best < _RESCALE_BELOW:
+                if best <= 0.0:
+                    raise NumericalFailure("all Gittins indices are zero")
+                idx = self.idx = [v * _RESCALE for v in idx]
+                best *= _RESCALE
             cut = best - best * self.tol
             choice = -1
             choice_rank = len(idx)
@@ -155,30 +155,10 @@ class _GittinsDriver:
         self.pos += 1
         return choice
 
-    def can_visit(self, i: int, visits_so_far: int) -> bool:
+    def can_visit(self, i: int) -> bool:
         # index 0 means the box is never searched again: p_i = 0, or a
         # perfect box already searched once
         return self.idx[i] > 0.0
-
-
-class _PatternDriver:
-    """Streams a fixed pattern of boxes, repeated indefinitely."""
-
-    __slots__ = ("pattern", "pos")
-
-    def __init__(self, pattern: tuple[int, ...], pos: int = 0):
-        self.pattern = pattern
-        self.pos = pos
-
-    def step(self) -> int:
-        b = self.pattern[self.pos]
-        self.pos += 1
-        if self.pos == len(self.pattern):
-            self.pos = 0
-        return b
-
-    def can_visit(self, i: int, visits_so_far: int) -> bool:
-        return i in self.pattern
 
 
 class SearchSequence:
@@ -187,6 +167,9 @@ class SearchSequence:
     boxes holds the realized prefix; visit time tau_i(r) (completion time
     of the r-th search of box i, r >= 1) is available once realized.
     Completed prefixes are append-only, so values handed out never change.
+    A sequence extends from its Gittins driver while it has one; once its
+    cycle is known it repeats the pattern instead, and without either it
+    is finite.
     """
 
     __slots__ = (
@@ -194,7 +177,7 @@ class SearchSequence:
         "degenerate_support", "_payoff_cache",
     )
 
-    def __init__(self, game: SearchGame, driver=None,
+    def __init__(self, game: SearchGame, driver: _GittinsDriver | None = None,
                  boxes: tuple[int, ...] = (), cycle: CycleInfo | None = None,
                  degenerate_support: bool = False):
         self.game = game
@@ -214,11 +197,16 @@ class SearchSequence:
         self._visits[b].append(self._elapsed)
 
     def _extend_once(self) -> None:
-        if self._driver is None:
+        if self._driver is not None:
+            self._append(self._driver.step())
+        elif self.cycle is not None:
+            pattern = self.cycle.pattern
+            past_entry = len(self._boxes) - sum(self.cycle.entry)
+            self._append(pattern[past_entry % len(pattern)])
+        else:
             raise InsufficientPrefix(
                 f"sequence of length {len(self._boxes)} is not extendable"
             )
-        self._append(self._driver.step())
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -236,9 +224,9 @@ class SearchSequence:
 
     def can_visit_more(self, i: int) -> bool:
         """Whether further extension can ever add another visit of box i."""
-        if self._driver is None:
-            return False
-        return self._driver.can_visit(i, len(self._visits[i]))
+        if self._driver is not None:
+            return self._driver.can_visit(i)
+        return self.cycle is not None and i in self.cycle.pattern
 
     def ensure_visits(self, i: int, count: int) -> None:
         while len(self._visits[i]) < count:
@@ -252,19 +240,6 @@ class SearchSequence:
     def visit_times(self, i: int) -> list[float]:
         """Realized completion times of searches of box i (read-only use)."""
         return self._visits[i]
-
-    def state(self, after: int | None = None) -> SearchState:
-        """SearchState after the first `after` searches (default: all
-        realized)."""
-        if after is None:
-            after = len(self._boxes)
-        self.ensure_length(after)
-        searched = [0] * self.game.n
-        elapsed = 0.0
-        for b in self._boxes[:after]:
-            searched[b] += 1
-            elapsed += self.game.t[b]
-        return SearchState(searched=tuple(searched), elapsed=elapsed)
 
     def visit_time(self, i: int, r: int) -> float:
         """tau_i(r): completion time of the r-th search of box i (r >= 1)."""
@@ -284,15 +259,17 @@ class SearchSequence:
         return out
 
 
-def from_pattern(game: SearchGame, pattern: tuple[int, ...] | list[int],
-                 cycle: CycleInfo | None = None) -> SearchSequence:
-    """Sequence repeating `pattern` forever (testing and round-robin use)."""
+def from_pattern(game: SearchGame,
+                 pattern: tuple[int, ...] | list[int]) -> SearchSequence:
+    """Sequence repeating `pattern` forever from the first search."""
     pattern = tuple(pattern)
     if not pattern:
         raise EmptyGame("pattern must be nonempty")
     if any(not 0 <= b < game.n for b in pattern):
         raise InvalidGameError(f"pattern {pattern} has out-of-range boxes")
-    return SearchSequence(game, driver=_PatternDriver(pattern), cycle=cycle)
+    return SearchSequence(
+        game, cycle=CycleInfo(entry=(0,) * game.n, pattern=pattern)
+    )
 
 
 def from_boxes(game: SearchGame, boxes) -> SearchSequence:
@@ -301,38 +278,46 @@ def from_boxes(game: SearchGame, boxes) -> SearchSequence:
 
 
 def gittins_sequence(
-    game: SearchGame,
-    p: HidingStrategy,
-    order: TieOrdering | None = None,
-    horizon: int = 0,
-    force_sigma_prefix: bool = False,
-    tie_rel_tol: float = TIE_REL_TOL,
+    game: SearchGame, p: HidingStrategy, order: TieOrdering | None = None,
 ) -> SearchSequence:
-    """Gittins search sequence against p under tie ordering `order`.
+    """Gittins counter to p, with its cycle identified on cyclic games.
 
-    Realizes the first `horizon` searches immediately; the sequence stays
-    extendable afterwards. force_sigma_prefix pins the first n searches to
-    sigma's order, which is exact when p = p0 (all starting indices tie).
-    Boxes with p_i = 0 are never searched; the sequence is then flagged
-    degenerate_support.
+    Without `order` this is the exact counter: indices are compared
+    directly and an exact tie goes to the lower box. Whatever comes out is
+    a Gittins counter of the rounded index process, which is all a best
+    response needs. With `order` it is the sigma-deterministic counter:
+    indices within TIE_REL_TOL tie and go to the box earliest in sigma,
+    and when p is p0 (within relative 1e-12) the first n searches follow
+    sigma, since all starting indices tie there by design.
 
-    tie_rel_tol = 0 compares indices directly: whatever comes out is still
-    a Gittins sequence (of the rounded index process), which is all a best
-    response needs. The nonzero default exists to recognize the designed
-    tie at p0 and hand-crafted degenerate inputs deterministically.
+    On a cyclic game the sequence at p0 is one cycle of the integer rule
+    from the first search; against any other full-support p the cycle is
+    the first window of x_hat searches visiting each box i exactly x_i
+    times. Boxes with p_i = 0 are never searched; the sequence is then
+    flagged degenerate_support and has no cycle.
     """
     if p.n != game.n:
         raise InvalidHidingStrategy("strategy length differs from box count")
-    if order is None:
+    exact = order is None
+    if exact:
         order = TieOrdering.identity(game.n)
-    forced = order.sigma if force_sigma_prefix else None
+    at_p0 = all(
+        abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, p0(game).p)
+    )
+    if game.cyclic is not None and at_p0:
+        return from_pattern(game, _integer_rule_pattern(game, order))
     driver = _GittinsDriver(
-        game, p, order, forced_prefix=forced, tie_rel_tol=tie_rel_tol
+        game, p, order,
+        tol=0.0 if exact else TIE_REL_TOL,
+        forced=order.sigma if at_p0 and not exact else None,
     )
     seq = SearchSequence(
         game, driver=driver, degenerate_support=not p.full_support
     )
-    seq.ensure_length(horizon)
+    if game.cyclic is not None and p.full_support:
+        seq.cycle = _find_cycle(seq)
+        if seq.cycle is not None:
+            seq._driver = None  # the pattern drives the tail from here
     return seq
 
 
@@ -382,69 +367,22 @@ def _integer_rule_pattern(game: SearchGame, order: TieOrdering) -> tuple[int, ..
     return tuple(pattern)
 
 
-def cyclic_sequence(
-    game: SearchGame,
-    p: HidingStrategy | None = None,
-    order: TieOrdering | None = None,
-    tie_rel_tol: float = TIE_REL_TOL,
-) -> SearchSequence:
-    """Search sequence for a cyclic game, with its cycle identified.
-
-    Started at p0 (the default), the exact integer rule yields a sequence
-    that cycles from the first search: entry 0 for every box and a pattern
-    of x_hat searches visiting box i exactly x_i times. For any other p,
-    float generation runs until x_hat consecutive searches contain exactly
-    x_i visits of box i; the posterior then equals its value at the window
-    start, so the window repeats forever and is installed as the pattern.
-    """
-    if game.cyclic is None:
-        raise NotCyclic("game has no cyclic structure")
-    if order is None:
-        order = TieOrdering.identity(game.n)
-    base = p0(game)
-    if p is None:
-        p = base
-    n = game.n
-    x = game.cyclic.x
-    x_hat = game.cyclic.x_hat
-
-    at_p0 = all(
-        abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, base.p)
-    )
-    if at_p0:
-        pattern = _integer_rule_pattern(game, order)
-        return from_pattern(
-            game, pattern, cycle=CycleInfo(entry=(0,) * n, pattern=pattern)
-        )
-    if not p.full_support:
-        # a counter to degenerate p skips the zero boxes, so no window
-        # ever reaches the full per-box quotas
-        raise NoCycleDetected("no cycle exists without full support")
-
-    driver = _GittinsDriver(game, p, order, tie_rel_tol=tie_rel_tol)
-    boxes: list[int] = []
-    window_counts = [0] * n
-    budget = _CYCLE_STEP_BUDGET_FACTOR * x_hat
-    for step in range(budget):
-        b = driver.step()
-        boxes.append(b)
-        window_counts[b] += 1
+def _find_cycle(seq: SearchSequence) -> CycleInfo | None:
+    """Extend seq until x_hat consecutive searches visit each box i exactly
+    x_i times. The posterior then equals its value at the window start, so
+    the window repeats forever. None when no window appears within the
+    step budget; the searches generated so far stay seq's prefix."""
+    x = list(seq.game.cyclic.x)
+    x_hat = seq.game.cyclic.x_hat
+    boxes = seq._boxes
+    window_counts = [0] * len(x)
+    for step in range(_CYCLE_STEP_BUDGET_FACTOR * x_hat):
+        seq._extend_once()
+        window_counts[boxes[step]] += 1
         if step >= x_hat:
             window_counts[boxes[step - x_hat]] -= 1
-        if step >= x_hat - 1 and window_counts == list(x):
-            start = step - x_hat + 1
-            pattern = tuple(boxes[start : start + x_hat])
-            entry = tuple(
-                sum(1 for bb in boxes[:start] if bb == i) for i in range(n)
-            )
-            seq = SearchSequence(
-                game,
-                driver=_PatternDriver(pattern),
-                boxes=tuple(boxes[:start]),
-                cycle=CycleInfo(entry=entry, pattern=pattern),
-                degenerate_support=not p.full_support,
-            )
-            return seq
-    raise NoCycleDetected(
-        f"no cycle of {x_hat} searches found within {budget} steps"
-    )
+        if window_counts == x:
+            start = step + 1 - x_hat
+            entry = tuple(boxes[:start].count(i) for i in range(len(x)))
+            return CycleInfo(entry=entry, pattern=tuple(boxes[start:]))
+    return None

@@ -11,11 +11,12 @@ than l_hat time passes between successive visits of a box, so the tail is
 at most l_hat (1-alpha_i)^{R+1} / alpha_i. payoff_truncated() gives the
 bracket for a fixed R.
 
-payoff() is the one evaluator every caller uses. On a cyclic game, once
-the sequence's cycle is known, the tail is a geometric sum with ratio
-(1-alpha_i)^{x_i} and payoff() returns the closed form of payoff_cyclic()
-as a zero-width bracket, exact up to rounding. Otherwise it grows R until
-the series bracket's relative width is below PAYOFF_REL_TOL.
+payoff() is the one evaluator every caller uses. Once a sequence has a
+cycle (x_i visits of box i repeating forever), the tail is a geometric
+sum with ratio (1-alpha_i)^{x_i} and payoff() returns the closed form of
+payoff_cyclic() as a zero-width bracket, exact up to rounding. Otherwise
+it grows R until the series bracket's relative width is below
+PAYOFF_REL_TOL.
 
 Every mixed payoff here is interval arithmetic over per-box brackets, so
 reported values are certified brackets rather than point estimates. A box
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxNeverSearched, InvalidMixture, NoCycleDetected, NotCyclic
+from .errors import BoxNeverSearched, InvalidMixture, NoCycleDetected
 from .gittins import SearchSequence, from_pattern
 from .model import HidingStrategy, SearchGame, Seed
 
@@ -127,31 +128,30 @@ def payoff_truncated(
 
 def payoff(
     game: SearchGame, i: int, xi: SearchSequence,
-    rel_tol: float = PAYOFF_REL_TOL,
 ) -> PayoffBracket | _InfinitePayoff:
     """Bracket u(i, xi), extending xi on demand.
 
-    On a cyclic game whose sequence has a detected cycle the bracket is the
-    exact closed form (zero width, searches_used 0); otherwise it is the
-    series bracket to relative width rel_tol. Returns INFINITE_PAYOFF when
-    xi provably never searches box i (the p_i = 0 case). Results are
-    memoized on the sequence, keyed by (box, rel_tol): extension is
+    Returns INFINITE_PAYOFF when xi provably never searches box i (the
+    p_i = 0 case). On a sequence with a cycle the bracket is the exact
+    closed form (zero width, searches_used 0), as it is for a perfect box;
+    otherwise it is the series bracket to relative width PAYOFF_REL_TOL.
+    Results are memoized on the sequence, keyed by box: extension is
     append-only so a bracket never goes stale.
     """
-    cached = xi._payoff_cache.get((i, rel_tol))
+    cached = xi._payoff_cache.get(i)
     if cached is not None:
         return cached
-    result = _payoff_uncached(game, i, xi, rel_tol)
-    xi._payoff_cache[(i, rel_tol)] = result
+    result = _payoff_uncached(game, i, xi)
+    xi._payoff_cache[i] = result
     return result
 
 
-def _payoff_uncached(game, i, xi, rel_tol):
-    if game.cyclic is not None and xi.cycle is not None:
-        v = payoff_cyclic(game, i, xi)
-        return PayoffBracket(v, v, 0)
+def _payoff_uncached(game, i, xi):
     if xi.num_visits(i) == 0 and not xi.can_visit_more(i):
         return INFINITE_PAYOFF
+    if xi.cycle is not None:
+        v = payoff_cyclic(game, i, xi)
+        return PayoffBracket(v, v, 0)
     a = game.alpha[i]
     if a == 1.0:
         xi.ensure_visits(i, 1)
@@ -159,20 +159,23 @@ def _payoff_uncached(game, i, xi, rel_tol):
         return PayoffBracket(tau1, tau1, 0)
     tail = tail_params(game).l_hat
     q = 1.0 - a
-    # first R with tail <= rel_tol * t_i; t_i <= tau_i(1) <= lower always
-    R = max(1, math.ceil(math.log(rel_tol * game.t[i] * a / tail) / math.log(q)))
+    # first R with tail <= PAYOFF_REL_TOL * t_i; t_i <= tau_i(1) <= lower
+    R = max(1, math.ceil(
+        math.log(PAYOFF_REL_TOL * game.t[i] * a / tail) / math.log(q)
+    ))
     while True:
         lower, upper = payoff_truncated(game, i, xi, R, tail_time=tail)
-        if upper <= lower * (1.0 + rel_tol):
+        if upper <= lower * (1.0 + PAYOFF_REL_TOL):
             return PayoffBracket(lower, upper, R)
         R *= 2
 
 
 def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
-    """Closed-form u(i, xi) for a cyclic game once xi's cycle is known.
+    """Closed-form u(i, xi) once xi's cycle is known.
 
-    With R = xi.cycle.entry[i] visits before the cycle, the tail past R is
-    a geometric sum over whole cycles of the x_i in-cycle gaps:
+    With R = xi.cycle.entry[i] visits before the cycle and x_i visits of
+    box i in its pattern, the tail past R is a geometric sum over whole
+    cycles of the x_i in-cycle gaps:
 
         u = tau_i(1) + u_R + (1-alpha_i)^R * A_i / (1 - (1-alpha_i)^x_i),
         A_i = sum_{r=1}^{x_i} (1-alpha_i)^r [tau_i(R+r+1) - tau_i(R+r)],
@@ -180,13 +183,11 @@ def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
     where u_R is the truncated series over the pre-cycle visits. Exact up
     to float rounding.
     """
-    if game.cyclic is None:
-        raise NotCyclic("game has no cyclic structure")
     if xi.cycle is None:
         raise NoCycleDetected("sequence has no detected cycle")
     a = game.alpha[i]
     q = 1.0 - a
-    x_i = game.cyclic.x[i]
+    x_i = xi.cycle.pattern.count(i)
     R = xi.cycle.entry[i]
     xi.ensure_visits(i, R + x_i + 1)
     tau = xi.visit_times(i)
@@ -220,7 +221,6 @@ def round_robin_sequence(game: SearchGame) -> SearchSequence:
 
 def expected_payoff(
     game: SearchGame, p: HidingStrategy, xi: SearchSequence,
-    rel_tol: float = PAYOFF_REL_TOL,
 ) -> PayoffBracket:
     """u(p, xi) = sum_i p_i u(i, xi) with interval arithmetic.
 
@@ -232,7 +232,7 @@ def expected_payoff(
     for i, pi in enumerate(p.p):
         if pi == 0.0:
             continue
-        br = payoff(game, i, xi, rel_tol)
+        br = payoff(game, i, xi)
         if br.is_infinite:
             raise BoxNeverSearched(
                 f"box {i} has p_i = {pi} > 0 but is never searched"
@@ -247,35 +247,34 @@ def mixed_payoff(
     game: SearchGame,
     target: int | HidingStrategy,
     theta: list[tuple[float, SearchSequence]],
-    rel_tol: float = PAYOFF_REL_TOL,
 ) -> PayoffBracket:
     """u(target, theta) for a searcher mixture theta over sequences.
 
     target is a box index (pure hider) or a HidingStrategy. Weights must
-    be nonnegative and sum to 1.
+    be nonnegative and sum to 1. Each side is summed with fsum.
     """
     weights = [w for w, _ in theta]
     if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
         raise InvalidMixture(
             f"mixture weights must be >= 0 and sum to 1, got {weights}"
         )
-    lower = upper = 0.0
+    lower, upper = [], []
     used = 0
     for w, xi in theta:
         if w == 0.0:
             continue
         if isinstance(target, HidingStrategy):
-            br = expected_payoff(game, target, xi, rel_tol)
+            br = expected_payoff(game, target, xi)
         else:
-            br = payoff(game, target, xi, rel_tol)
+            br = payoff(game, target, xi)
             if br.is_infinite:
                 raise BoxNeverSearched(
                     f"box {target} never searched by a mixed-in sequence"
                 )
-        lower += w * br.lower
-        upper += w * br.upper
+        lower.append(w * br.lower)
+        upper.append(w * br.upper)
         used = max(used, br.searches_used)
-    return PayoffBracket(lower, upper, used)
+    return PayoffBracket(math.fsum(lower), math.fsum(upper), used)
 
 
 def mc_estimate(

@@ -26,25 +26,21 @@ game's value with u(p0).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import hider_floor
-from .errors import NoCycleDetected, PerfectDetectionUnsupported
+from .errors import PerfectDetectionUnsupported
 from .gittins import (
-    TIE_REL_TOL,
     SearchSequence,
-    TieOrdering,
     all_orderings,
-    cyclic_sequence,
     gittins_sequence,
     initial_orderings,
 )
 from .lp import LpSolution, PayoffMatrix, recover_searcher_mixture, solve_hider_lp
 from .model import HidingStrategy, SearchGame, p0
-from .payoff import PayoffBracket, expected_payoff, payoff
+from .payoff import PayoffBracket, expected_payoff, mixed_payoff, payoff
 
 P0_OPT_REL_THRESHOLD = 1e-9
 
@@ -118,34 +114,10 @@ class P0TestResult:
     sequences_used: int
 
 
-def _counter_sequence(game: SearchGame, p: HidingStrategy,
-                      order: TieOrdering | None = None,
-                      force_sigma_prefix: bool = False,
-                      exact_ties: bool = False) -> SearchSequence:
-    """Gittins counter to p; on cyclic games, with its cycle identified.
-
-    exact_ties compares float indices directly (no tie tolerance). Best
-    responses inside the iteration use it: near the optimum, indices tie
-    for real, and a tolerant tie-break could pick a fractionally
-    sub-maximal box, overshooting the lower bound u(p_k). Any
-    directly-compared sequence is a genuine Gittins counter.
-    """
-    tol = 0.0 if exact_ties else TIE_REL_TOL
-    if game.cyclic is not None:
-        try:
-            return cyclic_sequence(game, p, order, tie_rel_tol=tol)
-        except NoCycleDetected:
-            pass
-    return gittins_sequence(
-        game, p, order, force_sigma_prefix=force_sigma_prefix,
-        tie_rel_tol=tol,
-    )
-
-
 def _column_values(game: SearchGame,
                    seq: SearchSequence) -> tuple[np.ndarray, float]:
     """Midpoint payoffs u(i, seq) for all boxes and their worst bracket
-    half-width (zero on cyclic cycles, where brackets are exact)."""
+    half-width (zero on sequences with a cycle, where brackets are exact)."""
     brackets = [payoff(game, i, seq) for i in range(game.n)]
     half = max(0.5 * b.width for b in brackets)
     return np.array([b.midpoint for b in brackets]), half
@@ -155,12 +127,9 @@ def _mixture_certificate(game: SearchGame, theta, sequences) -> float:
     """max_i u(i, theta) over bracket upper bounds: a rigorous upper bound
     on the game value for any searcher mixture theta, independent of LP
     rounding."""
+    mixture = list(zip(theta, sequences))
     return max(
-        math.fsum(
-            w * payoff(game, i, seq).upper
-            for w, seq in zip(theta, sequences) if w > 0
-        )
-        for i in range(game.n)
+        mixed_payoff(game, i, mixture).upper for i in range(game.n)
     )
 
 
@@ -173,7 +142,7 @@ def best_response_value(
     game restricted to the support (the returned sequence is flagged
     degenerate_support).
     """
-    seq = _counter_sequence(game, p, exact_ties=True)
+    seq = gittins_sequence(game, p)
     return expected_payoff(game, p, seq), seq
 
 
@@ -235,7 +204,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     pool = _SequencePool(horizon)
     sequences: list[SearchSequence] = []
     for sigma in initial_orderings(n):
-        seq = _counter_sequence(game, start, sigma, force_sigma_prefix=True)
+        seq = gittins_sequence(game, start, sigma)
         if pool.add(seq):
             sequences.append(seq)
     columns = []
@@ -258,7 +227,9 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         # the LP sees bracket midpoints; inflating its value by the worst
         # half-width keeps the reported upper bound certified
         upper = lp.v + worst_half
-        response = _counter_sequence(game, lp.p, exact_ties=True)
+        # the exact counter: near the optimum indices tie for real, and a
+        # tolerant tie-break could pick a sub-maximal box, overstating L
+        response = gittins_sequence(game, lp.p)
         lower = expected_payoff(game, lp.p, response).lower
         gap = upper / lower - 1.0
         done = gap < cfg.epsilon and not any(lp.binding)
@@ -322,7 +293,7 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     pool = _SequencePool(horizon)
     sequences: list[SearchSequence] = []
     for sigma in all_orderings(n):
-        seq = _counter_sequence(game, start, sigma, force_sigma_prefix=True)
+        seq = gittins_sequence(game, start, sigma)
         if pool.add(seq):
             sequences.append(seq)
 

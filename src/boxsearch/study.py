@@ -132,11 +132,14 @@ def _run_one(idx, scheme_name, game, config, test_p0) -> BatchRecord:
         u_p0 = bracket.midpoint
         v_star = math.nan
     iterations = 0
-    if p0_optimal is not True:
+    if p0_optimal:
+        # v_D and u(p0) are independently rounded values of one number
+        pct_below = 0.0
+    else:
         sol = solve(game, config)
         v_star = sol.U
         iterations = sol.iterations
-    pct_below = 100.0 * (v_star - u_p0) / v_star
+        pct_below = 100.0 * (v_star - u_p0) / v_star
     return BatchRecord(
         index=idx, scheme=scheme_name, t=game.t, alpha=game.alpha,
         v_star=v_star, u_p0=u_p0, p0_optimal=p0_optimal,

@@ -17,7 +17,6 @@ from boxsearch import (
     HidingStrategy,
     SearchGame,
     SolveConfig,
-    cyclic_sequence,
     gittins_sequence,
     hider_floor,
     make_cyclic_game,
@@ -79,7 +78,7 @@ def test_c1_exact_small_game_values():
 
 def test_c2_cyclic_closed_form():
     game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))
-    seq = cyclic_sequence(game)
+    seq = gittins_sequence(game, p0(game))
     exact = {0: 2.0, 1: 10.0 / 3.0}
     for i, value in exact.items():
         assert abs(payoff_cyclic(game, i, seq) - value) / value < 1e-12
@@ -247,8 +246,8 @@ def test_c8_property_suites():
         game = sample_game(SCHEMES["varied"], 2 + idx % 3, per_game_seed(55, idx))
         raw = rng.uniform(0.05, 1.0, size=game.n)
         p = HidingStrategy(tuple(raw / raw.sum()))
-        seq = gittins_sequence(game, p, horizon=100)
-        assert replay_check(game, p, seq)
+        seq = gittins_sequence(game, p)
+        assert replay_check(game, p, seq, length=100)
     _report("8", "bracket monotonicity, LP duality <1e-9, support <= n, "
                  "0.99-eta floors, 4-SE MC agreement (50 triples), "
                  "Gittins replay all hold")

@@ -15,7 +15,6 @@ from boxsearch import (
     SCHEMES,
     HidingStrategy,
     SearchGame,
-    cyclic_sequence,
     expected_payoff,
     gittins_sequence,
     make_cyclic_game,
@@ -35,9 +34,8 @@ from boxsearch.errors import (
     InsufficientPrefix,
     InvalidMixture,
     NoCycleDetected,
-    NotCyclic,
 )
-from boxsearch.gittins import from_boxes, from_pattern
+from boxsearch.gittins import TieOrdering, from_boxes, from_pattern
 from boxsearch.payoff import round_robin_sequence
 
 
@@ -168,13 +166,13 @@ class TestPayoffCyclic:
 
     def test_closed_form_exact(self):
         game = self.game()
-        seq = cyclic_sequence(game)
+        seq = gittins_sequence(game, p0(game))
         assert payoff_cyclic(game, 0, seq) == pytest.approx(2.0, rel=1e-12)
         assert payoff_cyclic(game, 1, seq) == pytest.approx(10 / 3, rel=1e-12)
 
     def test_series_brackets_closed_form(self):
         game = self.game()
-        seq = cyclic_sequence(game)
+        seq = gittins_sequence(game, p0(game))
         for i, exact in ((0, 2.0), (1, 10 / 3)):
             lower, upper = series_bracket(game, i, seq)
             assert lower <= exact * (1 + 1e-10)
@@ -193,7 +191,7 @@ class TestPayoffCyclic:
             )
             raw = rng.uniform(0.1, 1.0, size=n)
             p = HidingStrategy(tuple(raw / raw.sum()))
-            seq = cyclic_sequence(game, p)
+            seq = gittins_sequence(game, p, TieOrdering.identity(n))
             for i in range(n):
                 exact = payoff_cyclic(game, i, seq)
                 lower, upper = series_bracket(game, i, seq)
@@ -201,25 +199,24 @@ class TestPayoffCyclic:
 
     def test_payoff_uses_closed_form_on_cycles(self):
         game = self.game()
-        seq = cyclic_sequence(game)
+        seq = gittins_sequence(game, p0(game))
         for i in range(game.n):
             exact = payoff_cyclic(game, i, seq)
             br = payoff(game, i, seq)
             assert (br.lower, br.upper, br.searches_used) == (exact, exact, 0)
-        # the same game on a sequence without a detected cycle: series
-        plain = from_pattern(game, (0, 1, 1))
+        # the same boxes without the declared structure: no cycle, series
+        undeclared = SearchGame(t=game.t, alpha=game.alpha)
+        plain = gittins_sequence(undeclared, p0(undeclared))
         assert plain.cycle is None
         for i in range(game.n):
-            br = payoff(game, i, plain)
+            br = payoff(undeclared, i, plain)
             assert br.width > 0.0
             assert br.searches_used > 0
 
     def test_errors(self):
-        game = self.game()
-        with pytest.raises(NotCyclic):
-            payoff_cyclic(identical(), 0, alternating(identical()))
+        game = identical()
         with pytest.raises(NoCycleDetected):
-            payoff_cyclic(game, 0, from_pattern(game, (0, 1, 1)))
+            payoff_cyclic(game, 0, gittins_sequence(game, p0(game)))
 
 
 class TestRoundRobin:
@@ -251,7 +248,7 @@ class TestExpectedAndMixed:
 
     def test_cyclic_heuristic_value(self):
         game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))
-        seq = cyclic_sequence(game)
+        seq = gittins_sequence(game, p0(game))
         br = expected_payoff(game, p0(game), seq)
         assert br.midpoint == pytest.approx(2.8, rel=1e-10)
 

@@ -75,8 +75,8 @@ def test_p0_equalizes_starting_indices(game):
 @settings(max_examples=40, deadline=None)
 def test_generated_sequences_replay(pair):
     game, p = pair
-    seq = gittins_sequence(game, p, horizon=60)
-    assert replay_check(game, p, seq)
+    seq = gittins_sequence(game, p)
+    assert replay_check(game, p, seq, length=60)
 
 
 @given(games_with_strategies(), st.integers(0, 25))

@@ -51,6 +51,13 @@ class TestRunBatch:
             else:
                 assert r.iterations >= 1
 
+    def test_p0_optimal_records_read_exactly_zero(self):
+        records = run_batch(SCHEMES["varied"], 3, 20, epsilon=1e-6, seed=14)
+        optimal = [r for r in records if r.p0_optimal]
+        assert optimal
+        for r in optimal:
+            assert r.pct_below == 0.0
+
     def test_skips_test_above_cap(self):
         records = run_batch(
             SCHEMES["high"], 2, 2, epsilon=1e-3, seed=13, p0_test_cap=1
