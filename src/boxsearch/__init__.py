@@ -43,7 +43,7 @@ from .payoff import (
     round_robin_payoff,
     tail_params,
 )
-from .lp import LpSolution, PayoffMatrix, recover_searcher_mixture, solve_hider_lp
+from .lp import LpSolution, recover_searcher_mixture, solve_hider_lp
 from .solver import (
     P0TestResult,
     SolveConfig,

@@ -10,7 +10,7 @@ taking more than M time, any p giving box i less than
     c_i   = sum_{j != i} t_j / (alpha_j (1-alpha_j)^{m_j - 1}),
 
 would make some Gittins counter postpone box i past time M, contradicting
-optimality. Shrinking to delta_i = shrink * eta_i (default 0.99) yields a
+optimality. Shrinking to delta_i = FLOOR_SHRINK * eta_i (0.99) yields a
 truncated simplex whose interior contains every optimal hiding strategy;
 these are the constraints that keep the solver's LP away from degenerate
 strategies whose counters ignore a box entirely.
@@ -24,13 +24,16 @@ from dataclasses import dataclass
 from .errors import DegenerateFloors, FloorUnderflow, PerfectDetectionUnsupported
 from .model import SearchGame
 
+# factor from the floors eta_i to the LP floors delta_i
+FLOOR_SHRINK = 0.99
+
 # largest exponent magnitude safe for linear-space (1-a)^(m-1)
 _LOG_SPACE_CUTOVER = 650.0
 
 
 @dataclass(frozen=True)
 class HiderFloor:
-    """Floors delta_i = shrink * eta_i on optimal hiding probabilities.
+    """Floors delta_i = FLOOR_SHRINK * eta_i on optimal hiding probabilities.
 
     These are floors, not a distribution: nothing requires the eta_i to
     sum to anything in particular, but sum(delta) < 1 must hold so the
@@ -42,7 +45,6 @@ class HiderFloor:
     c: tuple[float, ...]
     eta: tuple[float, ...]
     delta: tuple[float, ...]
-    shrink: float
 
 
 def value_bounds(game: SearchGame) -> tuple[float, float]:
@@ -51,24 +53,18 @@ def value_bounds(game: SearchGame) -> tuple[float, float]:
     return max(w), math.fsum(w)
 
 
-def hider_floor(
-    game: SearchGame, shrink: float = 0.99, eta_min: float | None = None
-) -> HiderFloor:
+def hider_floor(game: SearchGame) -> HiderFloor:
     """Compute m_i, c_i, eta_i and the shrunken floors delta_i.
 
     The c_i terms move to log space when (1-alpha_j)^(m_j-1) would
     underflow; if eta_i still underflows to 0 the result would silently
-    void the floor guarantee, so FloorUnderflow is raised unless an
-    explicit absolute floor eta_min is supplied (which weakens the
-    guarantee and is the caller's responsibility).
+    void the floor guarantee, so FloorUnderflow is raised.
     """
     n = game.n
     if game.has_perfect_box() and n >= 2:
         raise PerfectDetectionUnsupported(
             "floors degenerate when some alpha_j = 1 (c_i diverges)"
         )
-    if not (0.0 < shrink < 1.0):
-        raise DegenerateFloors(f"shrink must be in (0, 1), got {shrink}")
     w = [ti / ai for ti, ai in zip(game.t, game.alpha)]
     M = math.fsum(w)
     m = []
@@ -113,23 +109,15 @@ def hider_floor(
             gap = log_ci - math.log(w[i])
             eta_i = 1.0 / (1.0 + math.exp(gap)) if gap < 700.0 else 0.0
         if eta_i <= 0.0:
-            if eta_min is None:
-                raise FloorUnderflow(
-                    f"eta[{i}] underflowed double precision; pass eta_min to "
-                    "impose an absolute floor (weakens the guarantee)"
-                )
-            eta_i = eta_min
-        elif eta_min is not None:
-            eta_i = max(eta_i, eta_min)
+            raise FloorUnderflow(f"eta[{i}] underflowed double precision")
         c.append(ci)
         eta.append(eta_i)
 
-    delta = [shrink * e for e in eta]
+    delta = [FLOOR_SHRINK * e for e in eta]
     if n >= 2 and math.fsum(delta) >= 1.0:
         raise DegenerateFloors(
             f"floors sum to {math.fsum(delta)} >= 1; truncated simplex empty"
         )
     return HiderFloor(
-        M=M, m=tuple(m), c=tuple(c), eta=tuple(eta),
-        delta=tuple(delta), shrink=shrink,
+        M=M, m=tuple(m), c=tuple(c), eta=tuple(eta), delta=tuple(delta)
     )

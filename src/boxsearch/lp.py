@@ -37,27 +37,6 @@ DUAL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PayoffMatrix:
-    """Dense payoffs u[i][k] = u(box i, stored sequence k), all finite > 0."""
-
-    u: np.ndarray
-    column_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        u = self.u
-        if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
-            raise Infeasible(f"payoff matrix shape {u.shape} unusable")
-        if u.shape[1] != len(self.column_ids):
-            raise Infeasible("one column id per column required")
-        if not np.all(np.isfinite(u)) or not np.all(u > 0):
-            raise NumericalFailure("payoff entries must be finite and > 0")
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-
-@dataclass(frozen=True)
 class LpSolution:
     """Optimal floored hider strategy p, game value v, active-floor flags,
     and the searcher's dual weights theta over columns."""
@@ -139,9 +118,15 @@ def _solve_game(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         return _simplex_game(A, bland=True)
 
 
-def solve_hider_lp(U: PayoffMatrix | np.ndarray, delta) -> LpSolution:
-    """Maximize v s.t. v <= p.u[:,k] per column, p >= delta, sum p = 1."""
-    u = U.u if isinstance(U, PayoffMatrix) else np.asarray(U, dtype=float)
+def solve_hider_lp(u: np.ndarray, delta) -> LpSolution:
+    """Maximize v s.t. v <= p.u[:,k] per column, p >= delta, sum p = 1.
+
+    u[i][k] is the payoff of box i against stored column k; every entry
+    must be finite and > 0.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
+        raise Infeasible(f"payoff matrix shape {u.shape} unusable")
     if not np.all(np.isfinite(u)) or not np.all(u > 0):
         raise NumericalFailure("payoff entries must be finite and > 0")
     n, m = u.shape
@@ -166,23 +151,19 @@ def solve_hider_lp(U: PayoffMatrix | np.ndarray, delta) -> LpSolution:
     return LpSolution(p=p, v=v, binding=binding, theta=theta)
 
 
-def recover_searcher_mixture(
-    U: PayoffMatrix | np.ndarray,
-    delta,
-    solution: LpSolution,
-    dual_tol: float = DUAL_REL_TOL,
-) -> np.ndarray:
+def recover_searcher_mixture(u: np.ndarray,
+                             solution: LpSolution) -> np.ndarray:
     """Validate and return the searcher's optimal column weights.
 
     Checks complementary slackness (supported columns pay exactly v
     against p), support size at most n, and, when no floor binds, the
-    unconstrained-hider guarantee max_i (U theta)_i <= v + tol.
+    unconstrained-hider guarantee max_i (u theta)_i <= v + tol.
     """
-    u = U.u if isinstance(U, PayoffMatrix) else np.asarray(U, dtype=float)
+    u = np.asarray(u, dtype=float)
     n = u.shape[0]
     theta = solution.theta
     v = solution.v
-    scale = dual_tol * max(1.0, abs(v))
+    scale = DUAL_REL_TOL * max(1.0, abs(v))
     if np.any(theta < 0) or abs(float(theta.sum()) - 1.0) > 1e-9:
         raise DualInconsistent("theta must be a distribution over columns")
     if int(np.count_nonzero(theta)) > n:

@@ -127,8 +127,8 @@ class HidingStrategy:
     def __post_init__(self):
         if len(self.p) == 0:
             raise InvalidHidingStrategy("empty probability vector")
-        if any(pi < 0 for pi in self.p):
-            raise InvalidHidingStrategy(f"negative probability in {self.p}")
+        if not all(pi >= 0 for pi in self.p):
+            raise InvalidHidingStrategy(f"invalid probability in {self.p}")
         total = math.fsum(self.p)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidHidingStrategy(f"probabilities sum to {total}, not 1")

@@ -19,13 +19,14 @@ some box, making that response useless as a cut.
 A separate finite test decides whether the heuristic strategy p0 is
 exactly optimal: p0 is optimal in the full game if and only if it is
 optimal in the finite game restricted to the sigma-deterministic Gittins
-counters against p0 (at most n! of them), which reduces to comparing that
-game's value with u(p0).
+counters against p0, which reduces to comparing that game's value with
+u(p0).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +35,16 @@ from .bounds import hider_floor
 from .errors import PerfectDetectionUnsupported
 from .gittins import (
     SearchSequence,
+    TieOrdering,
     all_orderings,
     gittins_sequence,
     initial_orderings,
 )
-from .lp import LpSolution, PayoffMatrix, recover_searcher_mixture, solve_hider_lp
+from .lp import LpSolution, recover_searcher_mixture, solve_hider_lp
 from .model import HidingStrategy, SearchGame, p0
 from .payoff import PayoffBracket, expected_payoff, mixed_payoff, payoff
 
 P0_OPT_REL_THRESHOLD = 1e-9
-
-# prefix length of the pool's dedupe keys: distinct Gittins counters
-# diverge within their first tie, and ties vanish after n searches for
-# sampled games, so a prefix suffices
-DEDUPE_HORIZON = 64
 
 
 @dataclass(frozen=True)
@@ -60,8 +57,8 @@ class SolveConfig:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -69,7 +66,8 @@ class SolveConfig:
 class Termination(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
-    # the pool already held the best response, so no cut could be added
+    # the best response's payoff column was already stored, so adding it
+    # could not change the LP
     STALLED = "stalled"
 
 
@@ -146,42 +144,15 @@ def best_response_value(
     return expected_payoff(game, p, seq), seq
 
 
-_DEDUPE_CONFIRM_CAP = 1 << 16
+def _p0_counters(game: SearchGame,
+                 orderings: list[TieOrdering]) -> list[SearchSequence]:
+    """The sigma-deterministic Gittins counters to p0, one per ordering.
 
-
-def _same_sequence(a: SearchSequence, b: SearchSequence,
-                   horizon: int) -> bool:
-    """Adaptive prefix comparison for key collisions.
-
-    Responses against near-boundary hiding strategies can share prefixes
-    far longer than the key horizon (a starved box first appears only
-    once the dominant box's index decays to its level), so equal keys are
-    confirmed by quadrupling the compared span before two sequences are
-    declared identical.
+    Their first n searches follow sigma, so distinct orderings give
+    pairwise distinct counters.
     """
-    span = horizon
-    while span < _DEDUPE_CONFIRM_CAP:
-        span *= 4
-        if a.prefix(span) != b.prefix(span):
-            return False
-    return True
-
-
-class _SequencePool:
-    """Deduplicating store: short prefix keys, adaptive confirmation."""
-
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-        self._buckets: dict[tuple[int, ...], list[SearchSequence]] = {}
-
-    def add(self, seq: SearchSequence) -> bool:
-        """Record seq; False when an identical sequence is already held."""
-        bucket = self._buckets.setdefault(seq.prefix(self.horizon), [])
-        for other in bucket:
-            if _same_sequence(seq, other, self.horizon):
-                return False
-        bucket.append(seq)
-        return True
+    start = p0(game)
+    return [gittins_sequence(game, start, sigma) for sigma in orderings]
 
 
 def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
@@ -192,38 +163,25 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
             "iterative solve requires alpha_i < 1; use test_p0_optimality "
             "for perfect-detection studies"
         )
-    n = game.n
     floors = hider_floor(game)
     delta = np.asarray(floors.delta)
-    start = p0(game)
 
-    horizon = DEDUPE_HORIZON
-    if game.cyclic is not None:
-        horizon = max(horizon, 4 * game.cyclic.x_hat)
-
-    pool = _SequencePool(horizon)
-    sequences: list[SearchSequence] = []
-    for sigma in initial_orderings(n):
-        seq = gittins_sequence(game, start, sigma)
-        if pool.add(seq):
-            sequences.append(seq)
+    sequences = _p0_counters(game, initial_orderings(game.n))
     columns = []
     worst_half = 0.0
     for seq in sequences:
         values, half = _column_values(game, seq)
         columns.append(values)
         worst_half = max(worst_half, half)
+    stored = {values.tobytes() for values in columns}
 
     trace: list[IterationRecord] = []
     lp: LpSolution | None = None
-    lp_matrix: PayoffMatrix | None = None
+    u: np.ndarray | None = None
     stalled = False
     for k in range(1, cfg.max_iterations + 1):
-        lp_matrix = PayoffMatrix(
-            u=np.column_stack(columns),
-            column_ids=tuple(range(len(columns))),
-        )
-        lp = solve_hider_lp(lp_matrix, delta)
+        u = np.column_stack(columns)
+        lp = solve_hider_lp(u, delta)
         # the LP sees bracket midpoints; inflating its value by the worst
         # half-width keeps the reported upper bound certified
         upper = lp.v + worst_half
@@ -236,12 +194,16 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
 
         added: int | None = None
         if not done:
-            if not pool.add(response):
-                stalled = True  # unreachable in exact arithmetic; float guard
+            # the payoffs are memoized on the response by expected_payoff
+            values, half = _column_values(game, response)
+            key = values.tobytes()
+            if key in stored:
+                # an equal column leaves the LP unchanged: no cut is possible
+                stalled = True
             else:
+                stored.add(key)
                 added = len(sequences)
                 sequences.append(response)
-                values, half = _column_values(game, response)
                 columns.append(values)
                 worst_half = max(worst_half, half)
         trace.append(IterationRecord(k, upper, lower, gap, added, lp.binding))
@@ -249,7 +211,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
             break
 
     final = trace[-1]
-    theta = recover_searcher_mixture(lp_matrix, delta, lp)
+    theta = recover_searcher_mixture(u, lp)
     # the final LP predates any column added in its own iteration
     theta_full = [float(w) for w in theta]
     theta_full += [0.0] * (len(sequences) - len(theta_full))
@@ -278,32 +240,20 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
 def test_p0_optimality(game: SearchGame) -> P0TestResult:
     """Decide exactly whether p0 is an optimal hiding strategy.
 
-    Builds every sigma-deterministic Gittins counter to p0 (n! tie
-    orderings, duplicates removed), solves the finite game they span, and
-    declares p0 optimal iff that game's value matches u(p0) to relative
-    1e-9. When optimal, the finite game's searcher mixture is optimal in
-    the full game.
+    Builds the sigma-deterministic Gittins counters to p0 (n! counters,
+    pairwise distinct), solves the finite game they span, and declares p0
+    optimal iff that game's value matches u(p0) to relative 1e-9. When
+    optimal, the finite game's searcher mixture is optimal in the full
+    game.
     """
-    n = game.n
-    start = p0(game)
-    horizon = DEDUPE_HORIZON
-    if game.cyclic is not None:
-        horizon = max(game.cyclic.x_hat, n)
-
-    pool = _SequencePool(horizon)
-    sequences: list[SearchSequence] = []
-    for sigma in all_orderings(n):
-        seq = gittins_sequence(game, start, sigma)
-        if pool.add(seq):
-            sequences.append(seq)
-
+    sequences = _p0_counters(game, all_orderings(game.n))
     u = np.column_stack(
         [_column_values(game, seq)[0] for seq in sequences]
     )
-    matrix = PayoffMatrix(u=u, column_ids=tuple(range(len(sequences))))
-    lp = solve_hider_lp(matrix, np.zeros(n))
-    theta = recover_searcher_mixture(matrix, np.zeros(n), lp)
+    lp = solve_hider_lp(u, np.zeros(game.n))
+    theta = recover_searcher_mixture(u, lp)
 
+    start = p0(game)
     p0_vec = start.as_array()
     col_values = p0_vec @ u
     best_col = int(np.argmin(col_values))

@@ -37,8 +37,8 @@ from .solver import SolveConfig, best_response_value, solve, test_p0_optimality
 BATCH_CSV_VERSION = "boxsearch-batch-v1"
 RUCKLE_CSV_VERSION = "boxsearch-ruckle-v1"
 
-# paper-style protocol: the n! optimality test is skipped for large n
-DEFAULT_P0_TEST_CAP = 5
+# paper-style protocol: the n! optimality test is skipped for larger n
+P0_TEST_MAX_N = 5
 
 _RUCKLE_TIE_REL_TOL = 1e-6
 _RUCKLE_MAX_H = 512
@@ -90,9 +90,8 @@ def run_batch(
     count: int,
     epsilon: float = 1e-6,
     seed: int = 0,
-    p0_test_cap: int = DEFAULT_P0_TEST_CAP,
 ) -> list[BatchRecord]:
-    """Sample `count` games; test p0 optimality (when n <= p0_test_cap)
+    """Sample `count` games; test p0 optimality (when n <= P0_TEST_MAX_N)
     and solve where p0 is suboptimal. Per-game failures are recorded in
     the error field and the batch continues."""
     if count < 1:
@@ -104,7 +103,7 @@ def run_batch(
         started = time.perf_counter()
         try:
             records.append(
-                _run_one(idx, scheme.name, game, config, n <= p0_test_cap)
+                _run_one(idx, scheme.name, game, config, n <= P0_TEST_MAX_N)
             )
         except BoxSearchError as exc:
             records.append(
@@ -207,14 +206,14 @@ def _ruckle_pstar(alpha: float) -> tuple[float, int]:
     return _ruckle_tie_strategy(alpha, best_h).p[0], best_h
 
 
-def extract_tie_index(alpha: float, p_star_1: float,
-                      rel_tol: float = _RUCKLE_TIE_REL_TOL) -> int:
+def extract_tie_index(alpha: float, p_star_1: float) -> int:
     """First search at which the counter's two indices agree within
-    rel_tol, simulating the counter that searches box 1 until the tie."""
+    relative 1e-6, simulating the counter that searches box 1 until the
+    tie."""
     i2 = 1.0 - p_star_1
     idx = p_star_1 * alpha
     for r in range(1, _RUCKLE_MAX_H + 1):
-        if abs(idx - i2) <= rel_tol * max(idx, i2):
+        if abs(idx - i2) <= _RUCKLE_TIE_REL_TOL * max(idx, i2):
             return r
         idx *= 1.0 - alpha
     raise BoxSearchError(

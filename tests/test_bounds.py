@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boxsearch import SCHEMES, SearchGame, hider_floor, p0, sample_game, value_bounds
+from boxsearch.bounds import FLOOR_SHRINK
 from boxsearch.errors import FloorUnderflow, PerfectDetectionUnsupported
 
 
@@ -71,7 +72,7 @@ class TestHiderFloor:
             strat = p0(game)
             assert all(pi >= di for pi, di in zip(strat.p, floors.delta))
             assert all(
-                pi >= ei * floors.shrink
+                pi >= ei * FLOOR_SHRINK
                 for pi, ei in zip(strat.p, floors.eta)
             )
 
@@ -80,16 +81,7 @@ class TestHiderFloor:
         with pytest.raises(PerfectDetectionUnsupported):
             hider_floor(game)
 
-    def test_underflow_diagnostic_and_escape_hatch(self):
+    def test_underflow_diagnostic(self):
         game = SearchGame(t=(1.0, 1.0), alpha=(1e-7, 1 - 1e-7))
         with pytest.raises(FloorUnderflow):
             hider_floor(game)
-        floors = hider_floor(game, eta_min=1e-300)
-        assert all(e >= 1e-300 for e in floors.eta)
-
-    def test_shrink_configurable(self):
-        game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 0.5))
-        floors = hider_floor(game, shrink=0.5)
-        np.testing.assert_allclose(
-            floors.delta, tuple(0.5 * e for e in floors.eta), rtol=1e-15
-        )

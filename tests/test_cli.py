@@ -128,6 +128,9 @@ class TestExitCodes:
         path.write_text(json.dumps({"t": [1, -2], "alpha": [0.5, 0.5]}))
         assert main(["solve", str(path)]) == 2
 
+    def test_nan_epsilon(self, capsys, game_file):
+        assert main(["solve", game_file, "--epsilon", "nan"]) == 2
+
     def test_bad_alpha_list(self, capsys):
         assert main(["ruckle", "--alphas", "0.5,oops"]) == 2
 

@@ -56,6 +56,21 @@ class TestGittinsSequence:
         )
         assert seq.prefix(4) == (1, 0, 1, 0)
 
+    def test_p0_counters_follow_sigma(self):
+        # the first n searches of a sigma counter to p0 are sigma itself,
+        # so the n! counters of the p0 test are pairwise distinct
+        games = [
+            SearchGame(t=(1.0, 2.0, 3.0), alpha=(0.3, 0.5, 0.7)),
+            make_cyclic_game(0.4, (1, 2, 3), (3.0, 1.0, 2.0)),
+            SearchGame(t=(1.0, 1.0, 2.0), alpha=(0.5, 1.0, 0.4),
+                       allow_perfect=True),
+        ]
+        for game in games:
+            start = p0(game)
+            for sigma in all_orderings(game.n):
+                seq = gittins_sequence(game, start, sigma)
+                assert seq.prefix(game.n) == sigma.sigma
+
     def test_hand_traced_asymmetric(self):
         # indices: 0.3,0.3 tie -> box0; 0.075 vs 0.3 -> box1; 0.075 vs
         # 0.15 -> box1; 0.075,0.075 tie -> box0; cycle (0,1,1)

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from boxsearch.errors import DualInconsistent, Infeasible, NumericalFailure
-from boxsearch.lp import (
-    LpSolution,
-    PayoffMatrix,
-    recover_searcher_mixture,
-    solve_hider_lp,
-)
+from boxsearch.lp import LpSolution, recover_searcher_mixture, solve_hider_lp
 
 
-def matrix(rows) -> PayoffMatrix:
-    u = np.asarray(rows, dtype=float)
-    return PayoffMatrix(u=u, column_ids=tuple(range(u.shape[1])))
+def matrix(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=float)
 
 
 class TestSolveHiderLp:
@@ -41,6 +35,12 @@ class TestSolveHiderLp:
     def test_infeasible_floors(self):
         with pytest.raises(Infeasible):
             solve_hider_lp(matrix([[3], [4]]), np.array([0.6, 0.6]))
+
+    def test_unusable_shape_rejected(self):
+        with pytest.raises(Infeasible):
+            solve_hider_lp(np.array([3.0, 4.0]), np.zeros(2))
+        with pytest.raises(Infeasible):
+            solve_hider_lp(np.empty((2, 0)), np.zeros(2))
 
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(NumericalFailure):
@@ -112,21 +112,21 @@ class TestRecoverSearcherMixture:
         U = matrix([[3, 4], [4, 3]])
         delta = np.array([0.05, 0.05])
         sol = solve_hider_lp(U, delta)
-        theta = recover_searcher_mixture(U, delta, sol)
+        theta = recover_searcher_mixture(U, sol)
         np.testing.assert_allclose(theta, (0.5, 0.5), atol=1e-12)
 
     def test_dominated_column_unused(self):
         # column 1 pays strictly more in every row: useless to the searcher
         U = matrix([[3, 5], [4, 6]])
         sol = solve_hider_lp(U, np.zeros(2))
-        theta = recover_searcher_mixture(U, np.zeros(2), sol)
+        theta = recover_searcher_mixture(U, sol)
         assert theta[1] == 0.0
 
     def test_single_column(self):
         U = matrix([[3], [4]])
         delta = np.array([0.05, 0.05])
         sol = solve_hider_lp(U, delta)
-        theta = recover_searcher_mixture(U, delta, sol)
+        theta = recover_searcher_mixture(U, sol)
         np.testing.assert_allclose(theta, (1.0,), atol=1e-15)
 
     def test_support_bounded_by_boxes(self):
@@ -137,7 +137,7 @@ class TestRecoverSearcherMixture:
             u = rng.uniform(1.0, 40.0, size=(n, m))
             delta = np.full(n, 0.02)
             sol = solve_hider_lp(u, delta)
-            theta = recover_searcher_mixture(u, delta, sol)
+            theta = recover_searcher_mixture(u, sol)
             assert int(np.count_nonzero(theta)) <= n
 
     def test_equalization_without_binding(self):
@@ -145,7 +145,7 @@ class TestRecoverSearcherMixture:
         U = matrix([[3, 4], [4, 3]])
         delta = np.array([0.05, 0.05])
         sol = solve_hider_lp(U, delta)
-        rows = U.u @ sol.theta
+        rows = U @ sol.theta
         assert np.all(np.abs(rows - sol.v) <= 1e-9 * sol.v)
 
     def test_tampered_solution_rejected(self):
@@ -157,4 +157,4 @@ class TestRecoverSearcherMixture:
             theta=np.array([1.0, 0.0]),
         )
         with pytest.raises(DualInconsistent):
-            recover_searcher_mixture(U, delta, bad)
+            recover_searcher_mixture(U, bad)

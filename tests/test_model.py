@@ -218,6 +218,8 @@ class TestHidingStrategy:
             HidingStrategy((1.5, -0.5))
         with pytest.raises(InvalidHidingStrategy):
             HidingStrategy(())
+        with pytest.raises(InvalidHidingStrategy):
+            HidingStrategy((math.nan, math.nan))
 
     def test_support(self):
         assert HidingStrategy((0.5, 0.5)).full_support

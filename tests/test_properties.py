@@ -108,7 +108,7 @@ def test_lp_feasibility_and_value(args):
 def test_lp_mixture_consistency(args):
     u, delta = args
     sol = solve_hider_lp(u, delta)
-    theta = recover_searcher_mixture(u, delta, sol)
+    theta = recover_searcher_mixture(u, sol)
     assert abs(float(theta.sum()) - 1.0) <= 1e-9
     assert int(np.count_nonzero(theta)) <= u.shape[0]
 

@@ -20,10 +20,11 @@ from boxsearch import (
     solve,
     value_bounds,
 )
+from boxsearch.bounds import FLOOR_SHRINK
 from boxsearch.errors import PerfectDetectionUnsupported
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
-from boxsearch.solver import _SequencePool, write_trace
+from boxsearch.solver import write_trace
 
 
 def identical(alpha=0.5) -> SearchGame:
@@ -148,24 +149,24 @@ class TestSolve:
             assert sol.L <= full.U * (1 + 1e-9)
         assert full.termination is Termination.CONVERGED
 
-    def test_refused_best_response_reports_stall(self, monkeypatch):
+    def test_refused_best_response_reports_stall(self):
+        # epsilon below the payoff tolerance: the best response at the
+        # last LP optimum pays a column that is already stored
         game = SearchGame(t=(1.0, 2.0), alpha=(0.3, 0.7))
-        add = _SequencePool.add
-        calls = []
-
-        def add_initial_only(pool, seq):
-            # the n initial counters go in; every best response is refused
-            calls.append(seq)
-            return add(pool, seq) if len(calls) <= game.n else False
-
-        monkeypatch.setattr(_SequencePool, "add", add_initial_only)
-        sol = solve(game, SolveConfig(epsilon=1e-6))
+        sol = solve(game, SolveConfig(epsilon=1e-13))
         assert sol.termination is Termination.STALLED
         assert sol.termination.value == "stalled"  # as the CLI prints it
-        assert sol.iterations == 1 < SolveConfig().max_iterations
-        assert sol.trace[-1].added_sequence is None
-        assert sol.trace[-1].gap >= 1e-6
-        assert len(sol.sequences) == game.n
+        assert sol.iterations == 8 < SolveConfig().max_iterations
+        assert len(sol.sequences) == 9
+        final = sol.trace[-1]
+        assert final.added_sequence is None
+        assert not any(final.binding)
+        assert 1e-13 <= final.gap < 1e-10
+
+    def test_epsilon_must_be_finite_and_positive(self):
+        for bad in (0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SolveConfig(epsilon=bad)
 
 
 class TestSolveInvariants:
@@ -182,7 +183,7 @@ class TestSolveInvariants:
             assert lo <= sol.L <= sol.U <= hi
             floors = hider_floor(game)
             assert all(
-                pi >= ei * floors.shrink - 1e-12
+                pi >= ei * FLOOR_SHRINK - 1e-12
                 for pi, ei in zip(sol.p_star.p, floors.eta)
             )
 
@@ -250,7 +251,7 @@ class TestP0Optimality:
             game = SearchGame(t=(1.0,) * n, alpha=(0.4,) * n)
             res = p0_optimality(game)
             assert res.optimal
-            assert res.sequences_used <= math.factorial(n)
+            assert res.sequences_used == math.factorial(n)
 
     def test_perfect_box_thresholds(self):
         high = SearchGame(t=(1.0, 1.0), alpha=(0.7, 1.0), allow_perfect=True)

@@ -59,9 +59,7 @@ class TestRunBatch:
             assert r.pct_below == 0.0
 
     def test_skips_test_above_cap(self):
-        records = run_batch(
-            SCHEMES["high"], 2, 2, epsilon=1e-3, seed=13, p0_test_cap=1
-        )
+        records = run_batch(SCHEMES["high"], 6, 2, epsilon=1e-3, seed=13)
         assert all(r.p0_optimal is None for r in records)
         assert all(r.iterations >= 1 for r in records)
 
