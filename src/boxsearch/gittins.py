@@ -118,9 +118,11 @@ class _GittinsDriver:
     Maintains current index values by one multiplication per step; drift
     versus recomputing powers is ~1 ulp per step, far below the tie
     tolerance. An optional forced prefix pins the first searches to a
-    given order (the designed starting tie at p0)."""
+    given order (the designed starting tie at p0). `tied` records whether
+    any step after that prefix found two or more boxes within tolerance
+    of the maximal index, i.e. whether the tie ordering ever mattered."""
 
-    __slots__ = ("alpha", "idx", "rank", "tol", "forced", "pos")
+    __slots__ = ("alpha", "idx", "rank", "tol", "forced", "pos", "tied")
 
     def __init__(self, game: SearchGame, p: HidingStrategy, order: TieOrdering,
                  tol: float, forced: tuple[int, ...] | None):
@@ -132,6 +134,7 @@ class _GittinsDriver:
         self.tol = tol
         self.forced = forced
         self.pos = 0
+        self.tied = False
 
     def step(self) -> int:
         if self.forced is not None and self.pos < len(self.forced):
@@ -148,9 +151,12 @@ class _GittinsDriver:
             choice = -1
             choice_rank = len(idx)
             for i, v in enumerate(idx):
-                if v >= cut and self.rank[i] < choice_rank:
-                    choice = i
-                    choice_rank = self.rank[i]
+                if v >= cut:
+                    if choice >= 0:
+                        self.tied = True
+                    if self.rank[i] < choice_rank:
+                        choice = i
+                        choice_rank = self.rank[i]
         self.idx[choice] *= 1.0 - self.alpha[choice]
         self.pos += 1
         return choice
@@ -221,6 +227,13 @@ class SearchSequence:
 
     def num_visits(self, i: int) -> int:
         return len(self._visits[i])
+
+    @property
+    def tied(self) -> bool:
+        """Whether index generation has met a tie that the ordering had to
+        break after the forced prefix, in the searches realized so far.
+        False for a sequence that does not extend from an index stream."""
+        return self._driver is not None and self._driver.tied
 
     def can_visit_more(self, i: int) -> bool:
         """Whether further extension can ever add another visit of box i."""

@@ -20,7 +20,10 @@ A separate finite test decides whether the heuristic strategy p0 is
 exactly optimal: p0 is optimal in the full game if and only if it is
 optimal in the finite game restricted to the sigma-deterministic Gittins
 counters against p0, which reduces to comparing that game's value with
-u(p0).
+u(p0). Unless a later index tie needs the ordering again, those
+counters differ only in the order of their first n searches, so that
+game is solved by column generation, pricing each new ordering with
+Smith's rule for single-machine weighted completion time.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from .model import HidingStrategy, SearchGame, p0
 from .payoff import PayoffBracket, expected_payoff, mixed_payoff, payoff
 
 P0_OPT_REL_THRESHOLD = 1e-9
+# column generation in the p0 test stops when the best ordering pays at
+# least the LP value less this relative margin, which absorbs LP rounding
+_PRICE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,30 +243,93 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     )
 
 
+def _completion_times(game: SearchGame, sigma: tuple[int, ...]) -> np.ndarray:
+    """P_sigma(i): the time at which box i's search ends when every box is
+    searched once, in the order sigma."""
+    times = np.empty(game.n)
+    times[list(sigma)] = np.cumsum([game.t[i] for i in sigma])
+    return times
+
+
+def _smith_order(game: SearchGame, weights: np.ndarray) -> tuple[int, ...]:
+    """The ordering minimizing sum_i w_i P_sigma(i) (Smith's rule): boxes
+    by t_i / w_i ascending, ties to the lower box, w_i = 0 last."""
+    return tuple(sorted(
+        range(game.n),
+        key=lambda i: (game.t[i] / weights[i] if weights[i] > 0 else math.inf, i),
+    ))
+
+
 def test_p0_optimality(game: SearchGame) -> P0TestResult:
     """Decide exactly whether p0 is an optimal hiding strategy.
 
-    Builds the sigma-deterministic Gittins counters to p0 (n! counters,
-    pairwise distinct), solves the finite game they span, and declares p0
-    optimal iff that game's value matches u(p0) to relative 1e-9. When
-    optimal, the finite game's searcher mixture is optimal in the full
-    game.
+    p0 is optimal in the full game iff it is optimal in the finite game
+    spanned by the sigma-deterministic Gittins counters to p0, i.e. iff
+    that game's value v_D matches u(p0) to relative 1e-9. When optimal,
+    the finite game's searcher mixture is optimal in the full game.
+
+    Against p0 all starting indices tie, so every such counter searches
+    each box once, in the order sigma, and then faces the same indices.
+    Unless the tie ordering matters again later, all of them share one
+    tail, and u(i, sigma) = alpha_i P_sigma(i) + D_i with D independent of
+    sigma. The finite game is then solved by column generation: the n
+    rotations to start, then at each LP optimum p the ordering that
+    minimizes p.u(., sigma), which is Smith's rule for weights p_i
+    alpha_i, until no ordering pays less than the LP value. On cyclic
+    games, and where the identity-ordered counter meets a tie after its
+    first n searches, all n! counters are built instead.
     """
+    if game.cyclic is not None:
+        return _p0_test_exhaustive(game)
+    start = p0(game)
+    reference = gittins_sequence(game, start, TieOrdering.identity(game.n))
+    values, _ = _column_values(game, reference)
+    if reference.tied:
+        return _p0_test_exhaustive(game)
+    alpha = np.asarray(game.alpha)
+    shared = values - alpha * _completion_times(game, reference.prefix(game.n))
+
+    orderings = initial_orderings(game.n)
+    columns = [alpha * _completion_times(game, o.sigma) + shared
+               for o in orderings]
+    stored = {o.sigma for o in orderings}
+    while True:
+        u = np.column_stack(columns)
+        lp = solve_hider_lp(u, np.zeros(game.n))
+        p = lp.p.as_array()
+        sigma = _smith_order(game, p * alpha)
+        if sigma in stored:
+            break
+        column = alpha * _completion_times(game, sigma) + shared
+        if p @ column >= lp.v * (1.0 - _PRICE_REL_TOL):
+            break
+        orderings.append(TieOrdering(sigma))
+        stored.add(sigma)
+        columns.append(column)
+    sequences = [reference] + _p0_counters(game, orderings[1:])
+    return _p0_result(u, lp, sequences, expected_payoff(game, start, reference))
+
+
+def _p0_test_exhaustive(game: SearchGame) -> P0TestResult:
+    """test_p0_optimality over all n! counters, pairwise distinct; raises
+    CapExceeded above ORDERING_CAP boxes."""
     sequences = _p0_counters(game, all_orderings(game.n))
     u = np.column_stack(
         [_column_values(game, seq)[0] for seq in sequences]
     )
     lp = solve_hider_lp(u, np.zeros(game.n))
-    theta = recover_searcher_mixture(u, lp)
-
     start = p0(game)
-    p0_vec = start.as_array()
-    col_values = p0_vec @ u
-    best_col = int(np.argmin(col_values))
-    u_p0 = expected_payoff(game, start, sequences[best_col])
-    optimal = abs(u_p0.midpoint - lp.v) / lp.v < P0_OPT_REL_THRESHOLD
+    best_col = int(np.argmin(start.as_array() @ u))
+    return _p0_result(u, lp, sequences,
+                      expected_payoff(game, start, sequences[best_col]))
+
+
+def _p0_result(u: np.ndarray, lp: LpSolution, sequences: list[SearchSequence],
+               u_p0: PayoffBracket) -> P0TestResult:
+    """p0 is optimal iff u(p0) matches the finite game's value v_D."""
+    theta = recover_searcher_mixture(u, lp)
     return P0TestResult(
-        optimal=optimal,
+        optimal=abs(u_p0.midpoint - lp.v) / lp.v < P0_OPT_REL_THRESHOLD,
         v_D=lp.v,
         u_p0=u_p0,
         theta=tuple(theta.tolist()),

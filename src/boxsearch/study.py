@@ -32,13 +32,10 @@ from .model import (
     sample_game,
 )
 from .payoff import expected_payoff
-from .solver import SolveConfig, best_response_value, solve, test_p0_optimality
+from .solver import SolveConfig, solve, test_p0_optimality
 
 BATCH_CSV_VERSION = "boxsearch-batch-v1"
 RUCKLE_CSV_VERSION = "boxsearch-ruckle-v1"
-
-# paper-style protocol: the n! optimality test is skipped for larger n
-P0_TEST_MAX_N = 5
 
 _RUCKLE_TIE_REL_TOL = 1e-6
 _RUCKLE_MAX_H = 512
@@ -91,9 +88,9 @@ def run_batch(
     epsilon: float = 1e-6,
     seed: int = 0,
 ) -> list[BatchRecord]:
-    """Sample `count` games; test p0 optimality (when n <= P0_TEST_MAX_N)
-    and solve where p0 is suboptimal. Per-game failures are recorded in
-    the error field and the batch continues."""
+    """Sample `count` games; test p0 optimality and solve where p0 is
+    suboptimal. Per-game failures are recorded in the error field and the
+    batch continues."""
     if count < 1:
         raise EmptyGame("count must be >= 1")
     config = SolveConfig(epsilon=epsilon)
@@ -102,9 +99,7 @@ def run_batch(
         game = sample_game(scheme, n, per_game_seed(seed, idx))
         started = time.perf_counter()
         try:
-            records.append(
-                _run_one(idx, scheme.name, game, config, n <= P0_TEST_MAX_N)
-            )
+            records.append(_run_one(idx, scheme.name, game, config))
         except BoxSearchError as exc:
             records.append(
                 BatchRecord(
@@ -118,18 +113,12 @@ def run_batch(
     return records
 
 
-def _run_one(idx, scheme_name, game, config, test_p0) -> BatchRecord:
+def _run_one(idx, scheme_name, game, config) -> BatchRecord:
     started = time.perf_counter()
-    p0_optimal: bool | None = None
-    if test_p0:
-        result = test_p0_optimality(game)
-        p0_optimal = result.optimal
-        u_p0 = result.u_p0.midpoint
-        v_star = result.v_D
-    else:
-        bracket, _ = best_response_value(game, p0(game))
-        u_p0 = bracket.midpoint
-        v_star = math.nan
+    result = test_p0_optimality(game)
+    p0_optimal = result.optimal
+    u_p0 = result.u_p0.midpoint
+    v_star = result.v_D
     iterations = 0
     if p0_optimal:
         # v_D and u(p0) are independently rounded values of one number

@@ -11,7 +11,10 @@ from boxsearch import (
     SearchGame,
     SolveConfig,
     Termination,
+    TieOrdering,
+    all_orderings,
     best_response_value,
+    gittins_sequence,
     hider_floor,
     make_cyclic_game,
     p0,
@@ -24,7 +27,14 @@ from boxsearch.bounds import FLOOR_SHRINK
 from boxsearch.errors import PerfectDetectionUnsupported
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
-from boxsearch.solver import write_trace
+from boxsearch.solver import (
+    _column_values,
+    _p0_counters,
+    _p0_test_exhaustive,
+    _smith_order,
+    write_trace,
+)
+from boxsearch.study import _ruckle_game
 
 
 def identical(alpha=0.5) -> SearchGame:
@@ -282,3 +292,69 @@ class TestP0Optimality:
             else:
                 assert sol.L > u_p0 * (1 - 1e-7)
                 assert res.v_D >= sol.U * (1 - 1e-9)
+
+
+class TestP0ColumnGeneration:
+    """The column-generation p0 test against the n! counters it prices."""
+
+    def test_agrees_with_all_counters(self):
+        games = [
+            sample_game(SCHEMES["varied"], 2 + idx % 4, per_game_seed(29, idx))
+            for idx in range(20)
+        ]
+        games += [_ruckle_game(a) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        for game in games:
+            fast = p0_optimality(game)
+            full = _p0_test_exhaustive(game)
+            assert fast.optimal == full.optimal
+            assert abs(fast.v_D - full.v_D) <= 1e-12 * full.v_D
+
+    def test_smith_order_prices_every_counter(self):
+        # real counters, not the shared-tail model: the ordering Smith's
+        # rule picks for weights p_i alpha_i attains the cheapest column
+        game = sample_game(SCHEMES["varied"], 4, per_game_seed(37, 0))
+        orderings = all_orderings(game.n)
+        counters = _p0_counters(game, orderings)
+        u = np.column_stack([_column_values(game, seq)[0] for seq in counters])
+        assert not any(seq.tied for seq in counters)
+        rng = np.random.default_rng(5)
+        draws = [rng.dirichlet(np.ones(game.n)) for _ in range(10)]
+        draws.append(np.array([0.5, 0.0, 0.3, 0.2]))
+        alpha = np.asarray(game.alpha)
+        for p in draws:
+            sigma = _smith_order(game, p * alpha)
+            column = [o.sigma for o in orderings].index(sigma)
+            prices = p @ u
+            assert prices[column] <= prices.min() * (1 + 1e-12)
+
+    def test_identical_boxes_tie_and_fall_back(self):
+        game = SearchGame(t=(1.0,) * 3, alpha=(0.4,) * 3)
+        reference = gittins_sequence(game, p0(game), TieOrdering.identity(3))
+        reference.ensure_length(20)
+        assert reference.tied
+        assert p0_optimality(game).sequences_used == 6
+        plain = sample_game(SCHEMES["varied"], 3, per_game_seed(37, 1))
+        untied = gittins_sequence(plain, p0(plain), TieOrdering.identity(3))
+        untied.ensure_length(200)
+        assert not untied.tied
+
+    def test_eight_boxes(self):
+        game = sample_game(SCHEMES["varied"], 8, per_game_seed(41, 0))
+        res = p0_optimality(game)  # recovers the mixture with its checks
+        assert res.sequences_used < math.factorial(8)
+        assert res.u_p0.lower <= res.v_D * (1 + 1e-9)
+        assert sum(1 for w in res.theta if w > 0) <= game.n
+        # the mixture over the real counters holds every box to v_D
+        for i in range(game.n):
+            val = sum(
+                w * payoff(game, i, seq).upper
+                for w, seq in zip(res.theta, res.sequences) if w > 0
+            )
+            assert val <= res.v_D * (1 + 1e-9)
+
+    def test_cyclic_game_takes_all_counters(self):
+        game = make_cyclic_game(0.3, (1, 2, 3, 1), (1.0, 2.0, 3.0, 1.5))
+        res = p0_optimality(game)
+        assert res.sequences_used == math.factorial(4)
+        full = _p0_test_exhaustive(game)
+        assert (res.optimal, res.v_D) == (full.optimal, full.v_D)

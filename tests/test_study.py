@@ -58,10 +58,10 @@ class TestRunBatch:
         for r in optimal:
             assert r.pct_below == 0.0
 
-    def test_skips_test_above_cap(self):
-        records = run_batch(SCHEMES["high"], 6, 2, epsilon=1e-3, seed=13)
-        assert all(r.p0_optimal is None for r in records)
-        assert all(r.iterations >= 1 for r in records)
+    def test_tests_p0_at_every_n(self):
+        records = run_batch(SCHEMES["varied"], 8, 2, epsilon=1e-3, seed=13)
+        assert all(r.error is None for r in records)
+        assert all(r.p0_optimal is not None for r in records)
 
     def test_per_game_failure_recorded_batch_continues(self, monkeypatch):
         import boxsearch.study as study_mod
