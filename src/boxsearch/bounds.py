@@ -11,9 +11,9 @@ taking more than M time, any p giving box i less than
 
 would make some Gittins counter postpone box i past time M, contradicting
 optimality. Shrinking to delta_i = FLOOR_SHRINK * eta_i (0.99) yields a
-truncated simplex whose interior contains every optimal hiding strategy;
-these are the constraints that keep the solver's LP away from degenerate
-strategies whose counters ignore a box entirely.
+truncated simplex whose interior contains every optimal hiding strategy.
+The floors characterize optimal strategies, and the tests hold solved
+strategies to them; the solver's LP does not use them.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 A game has n boxes; searching box i takes t_i > 0 time units and finds a
 hider in that box independently with probability alpha_i. alpha_i = 1
 (perfect detection) is admitted only behind the allow_perfect flag; the
-iterative solver rejects such games, but the p0 optimality test handles
-them. A game is *cyclic* when (1-alpha_i)^x_i is the same base c for all
-boxes, for coprime positive integers x_i; cyclic structure is declared by
+iterative solver and the p0 optimality test both handle such games. A
+game is *cyclic* when (1-alpha_i)^x_i is the same base c for all boxes,
+for coprime positive integers x_i; cyclic structure is declared by
 construction (make_cyclic_game), never detected from floats.
 
 Box indices are 0-based throughout the Python API; the JSON game format

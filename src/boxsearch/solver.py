@@ -1,20 +1,23 @@
-"""Iterative best-response solver with certified value brackets.
+"""Smoothed cutting-plane solver with certified value brackets.
 
 The hider's payoff u(p) = min_xi u(p, xi) is the lower envelope of the
 linear functions p -> u(p, xi), one per search sequence, so maximizing it
 is a cutting-plane problem. Each iteration solves the finite matrix game
-restricted to the sequences stored so far (an upper bound U_k on the game
-value, since the searcher is restricted), then evaluates a Gittins best
-response against the optimal floored hiding strategy p_k (a lower bound
-L_k = u(p_k)). The best response is added as a new column: it cuts off
-(p_k, U_k), so the upper bounds decrease to the value. Iteration stops
-once U_k/L_k - 1 < epsilon and no probability floor binds; the searcher's
-optimal mixture then comes from the final LP's duals and mixes at most n
-sequences.
-
-The floors p_i >= delta_i are essential: without them the LP can park the
-hider on a boundary strategy whose unique best response never searches
-some box, making that response useless as a cut.
+restricted to the sequences stored so far; its optimum (p_k, v_k) bounds
+the game value from above, since the searcher is restricted. Kelley's
+method would query the Gittins best response at p_k itself, which can
+lie on the boundary of the simplex, where a response need not search
+every box. Here the query point is smoothed (Wentges 1997):
+q = lambda p_k + (1 - lambda) p_best, where the stability center p_best
+is the point with the best lower bound L = u(p_best) so far, starting at
+p0. Every query point is interior, so every response searches every box
+and pays finitely against each. A response that cuts off (p_k, v_k) is
+stored as a new column. One that does not (a mispricing) still lifts L
+by at least lambda (v_k - L), by concavity of u, and the query is
+repeated nearer p_k. Iteration stops once U_k/L - 1 < epsilon, with U_k
+the LP value plus the worst bracket half-width; p_best is the returned
+hiding strategy, and the searcher's optimal mixture comes from the final
+LP's duals and mixes at most n sequences.
 
 A separate finite test decides whether the heuristic strategy p0 is
 exactly optimal: p0 is optimal in the full game if and only if it is
@@ -34,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import hider_floor
-from .errors import PerfectDetectionUnsupported
 from .gittins import (
     SearchSequence,
     TieOrdering,
@@ -51,6 +52,11 @@ P0_OPT_REL_THRESHOLD = 1e-9
 # column generation in the p0 test stops when the best ordering pays at
 # least the LP value less this relative margin, which absorbs LP rounding
 _PRICE_REL_TOL = 1e-12
+# the solve queries best responses at weight p_k + (1 - weight) p_best:
+# first at _LAMBDA, then after each mispricing at the next weight, and
+# last at p_k itself when p_k is interior
+_LAMBDA = 0.5
+_QUERY_WEIGHTS = (_LAMBDA, 0.95, 0.999)
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,9 @@ class SolveConfig:
 class Termination(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
-    # the best response's payoff column was already stored, so adding it
-    # could not change the LP
+    # no query cut the LP optimum, and either the last response's column
+    # was already stored (the LP cannot change) or L did not rise (the
+    # next iteration would repeat this one)
     STALLED = "stalled"
 
 
@@ -84,7 +91,8 @@ class IterationRecord:
     lower: float
     gap: float
     added_sequence: int | None
-    binding: tuple[bool, ...]
+    # queries in this iteration whose response could not cut (p_k, v_k)
+    mispriced: int
 
 
 @dataclass(frozen=True)
@@ -162,16 +170,9 @@ def _p0_counters(game: SearchGame,
 
 
 def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
-    """Run the iterative solve to an epsilon-certified value bracket."""
+    """Run the smoothed cutting-plane solve to an epsilon-certified value
+    bracket."""
     cfg = config or SolveConfig()
-    if game.has_perfect_box():
-        raise PerfectDetectionUnsupported(
-            "iterative solve requires alpha_i < 1; use test_p0_optimality "
-            "for perfect-detection studies"
-        )
-    floors = hider_floor(game)
-    delta = np.asarray(floors.delta)
-
     sequences = _p0_counters(game, initial_orderings(game.n))
     columns = []
     worst_half = 0.0
@@ -181,39 +182,60 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         worst_half = max(worst_half, half)
     stored = {values.tobytes() for values in columns}
 
+    # the stability center: the best lower-bound point queried so far
+    p_best = p0(game)
+    lower = best_response_value(game, p_best)[0].lower
     trace: list[IterationRecord] = []
     lp: LpSolution | None = None
     u: np.ndarray | None = None
+    added: int | None = None
     stalled = False
     for k in range(1, cfg.max_iterations + 1):
-        u = np.column_stack(columns)
-        lp = solve_hider_lp(u, delta)
+        # the LP changes only when the last iteration stored a column
+        if lp is None or added is not None:
+            u = np.column_stack(columns)
+            lp = solve_hider_lp(u, np.zeros(game.n))
+        p_k = lp.p.as_array()
         # the LP sees bracket midpoints; inflating its value by the worst
         # half-width keeps the reported upper bound certified
         upper = lp.v + worst_half
-        # the exact counter: near the optimum indices tie for real, and a
-        # tolerant tie-break could pick a sub-maximal box, overstating L
-        response = gittins_sequence(game, lp.p)
-        lower = expected_payoff(game, lp.p, response).lower
-        gap = upper / lower - 1.0
-        done = gap < cfg.epsilon and not any(lp.binding)
-
-        added: int | None = None
-        if not done:
+        weights = _QUERY_WEIGHTS + ((1.0,) if np.all(p_k > 0) else ())
+        added = None
+        mispriced = 0
+        lower_before = lower
+        for weight in weights:
+            q = weight * p_k + (1.0 - weight) * p_best.as_array()
+            query = HidingStrategy(tuple((q / q.sum()).tolist()))
+            # the exact counter: near the optimum indices tie for real, and
+            # a tolerant tie-break could pick a sub-maximal box, overstating L
+            bracket, response = best_response_value(game, query)
+            if bracket.lower > lower:
+                lower, p_best = bracket.lower, query
+            if upper / lower - 1.0 < cfg.epsilon:
+                break
             # the payoffs are memoized on the response by expected_payoff
             values, half = _column_values(game, response)
             key = values.tobytes()
-            if key in stored:
-                # an equal column leaves the LP unchanged: no cut is possible
-                stalled = True
-            else:
+            # LP rounding can let a stored column pass the cut test
+            repeated = key in stored
+            if not repeated and p_k @ values < lp.v:
                 stored.add(key)
                 added = len(sequences)
                 sequences.append(response)
                 columns.append(values)
                 worst_half = max(worst_half, half)
-        trace.append(IterationRecord(k, upper, lower, gap, added, lp.binding))
-        if done or stalled:
+                break
+            # mispriced: the response does not cut (p_k, v_k); u(query) still
+            # lifts L by at least weight (v_k - L)
+            mispriced += 1
+        else:
+            # no query cut (p_k, v_k): a stored column leaves the LP
+            # unchanged, and with p_best unmoved the next iteration would
+            # repeat this one
+            stalled = repeated or lower == lower_before
+        gap = upper / lower - 1.0
+        trace.append(IterationRecord(k, upper, lower, gap, added, mispriced))
+        if gap < cfg.epsilon or stalled:
             break
 
     final = trace[-1]
@@ -222,17 +244,17 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     theta_full = [float(w) for w in theta]
     theta_full += [0.0] * (len(sequences) - len(theta_full))
     upper = final.upper
-    if final.gap < cfg.epsilon and not any(final.binding):
+    if final.gap < cfg.epsilon:
         termination = Termination.CONVERGED
         # replace the LP value (subject to pivot rounding) by the dual
-        # certificate: with no floor binding the two agree to ~1e-12
+        # certificate; the two agree to ~1e-12
         upper = _mixture_certificate(game, theta_full, sequences)
     elif stalled:
         termination = Termination.STALLED
     else:
         termination = Termination.MAX_ITERATIONS
     return Solution(
-        p_star=lp.p,
+        p_star=p_best,
         theta=tuple(theta_full),
         sequences=tuple(sequences),
         L=final.lower,
@@ -338,14 +360,18 @@ def _p0_result(u: np.ndarray, lp: LpSolution, sequences: list[SearchSequence],
     )
 
 
+TRACE_CSV_VERSION = "boxsearch-trace-v2"
+
+
 def write_trace(solution: Solution, path) -> None:
-    """Line-per-iteration CSV: iter,U,L,gap,added_seq,binding_mask."""
+    """Line-per-iteration CSV after a version line:
+    iter,U,L,gap,added_seq,mispriced."""
     with open(path, "w") as fh:
-        fh.write("iter,U,L,gap,added_seq,binding_mask\n")
+        fh.write(f"# {TRACE_CSV_VERSION}\n")
+        fh.write("iter,U,L,gap,added_seq,mispriced\n")
         for rec in solution.trace:
             added = "" if rec.added_sequence is None else rec.added_sequence
-            mask = "".join("1" if b else "0" for b in rec.binding)
             fh.write(
                 f"{rec.iteration},{rec.upper!r},{rec.lower!r},"
-                f"{rec.gap!r},{added},{mask}\n"
+                f"{rec.gap!r},{added},{rec.mispriced}\n"
             )

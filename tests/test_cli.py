@@ -47,8 +47,19 @@ class TestSolveCommand:
         code, _ = run(capsys, ["solve", game_file, "--trace", str(trace)])
         assert code == 0
         lines = trace.read_text().splitlines()
-        assert lines[0] == "iter,U,L,gap,added_seq,binding_mask"
-        assert len(lines) >= 2
+        assert lines[0] == "# boxsearch-trace-v2"
+        assert lines[1] == "iter,U,L,gap,added_seq,mispriced"
+        assert len(lines) >= 3
+
+    def test_perfect_box(self, capsys, tmp_path):
+        path = tmp_path / "ruckle.json"
+        path.write_text(json.dumps({
+            "t": [1, 1], "alpha": [0.5, 1.0], "allow_perfect": True,
+        }))
+        code, payload = run(capsys, ["solve", str(path)])
+        assert code == 0
+        assert payload["termination"] == "converged"
+        assert payload["value_lower"] <= 2.4 <= payload["value_upper"]
 
     def test_cyclic_game(self, capsys, cyclic_game_file):
         code, payload = run(capsys, ["solve", cyclic_game_file])
@@ -133,10 +144,3 @@ class TestExitCodes:
 
     def test_bad_alpha_list(self, capsys):
         assert main(["ruckle", "--alphas", "0.5,oops"]) == 2
-
-    def test_perfect_box_outside_solve_domain(self, capsys, tmp_path):
-        path = tmp_path / "perfect.json"
-        path.write_text(json.dumps({
-            "t": [1, 1], "alpha": [0.5, 1.0], "allow_perfect": True,
-        }))
-        assert main(["solve", str(path)]) == 2

@@ -24,10 +24,13 @@ from boxsearch import (
     value_bounds,
 )
 from boxsearch.bounds import FLOOR_SHRINK
-from boxsearch.errors import PerfectDetectionUnsupported
+from boxsearch.errors import FloorUnderflow
+from boxsearch.lp import solve_hider_lp
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
 from boxsearch.solver import (
+    _LAMBDA,
+    _QUERY_WEIGHTS,
     _column_values,
     _p0_counters,
     _p0_test_exhaustive,
@@ -35,6 +38,7 @@ from boxsearch.solver import (
     write_trace,
 )
 from boxsearch.study import _ruckle_game
+from kelley_oracle import kelley_solve
 
 
 def identical(alpha=0.5) -> SearchGame:
@@ -92,10 +96,26 @@ class TestSolve:
         sol = solve(game, SolveConfig(epsilon=1e-6))
         assert sol.p_star.p[0] == pytest.approx(0.8, abs=2e-3)
 
-    def test_perfect_box_rejected(self):
+    def test_perfect_box_solves(self):
+        # Ruckle's game: the value is 2.4 at p = (0.8, 0.2), where the two
+        # indices tie at the second search
         game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 1.0), allow_perfect=True)
-        with pytest.raises(PerfectDetectionUnsupported):
-            solve(game)
+        sol = solve(game, SolveConfig(epsilon=1e-6))
+        assert sol.termination is Termination.CONVERGED
+        assert sol.L <= 2.4 <= sol.U
+        assert sol.p_star.p[0] == pytest.approx(0.8, abs=1e-4)
+
+    def test_floor_underflow_games_converge(self):
+        # the hider floors underflow on both games; the solve needs none
+        for game in (SearchGame(t=(1e-3, 1e3), alpha=(0.5, 0.5)),
+                     SearchGame(t=(1.0, 1.0), alpha=(1e-4, 0.5))):
+            with pytest.raises(FloorUnderflow):
+                hider_floor(game)
+            sol = solve(game, SolveConfig(epsilon=1e-6))
+            assert sol.termination is Termination.CONVERGED
+            assert sol.U / sol.L - 1.0 < 1e-6
+            lo, hi = value_bounds(game)
+            assert lo <= sol.L <= sol.U <= hi
 
     def test_cyclic_game_exact_value(self):
         game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))
@@ -110,18 +130,20 @@ class TestSolve:
         assert (a.L, a.U, a.p_star, a.theta) == (b.L, b.U, b.p_star, b.theta)
 
     def test_wider_games(self):
-        # iteration counts land near the published scale: ~29 at n=5,
-        # ~73 at n=8 (epsilon 1e-3, varied draws)
-        g5 = sample_game(SCHEMES["varied"], 5, per_game_seed(71, 0))
-        sol5 = solve(g5, SolveConfig(epsilon=1e-3))
-        assert sol5.termination is Termination.CONVERGED
-        assert 10 <= sol5.iterations <= 60
-        g8 = sample_game(SCHEMES["varied"], 8, per_game_seed(72, 0))
-        sol8 = solve(g8, SolveConfig(epsilon=1e-3))
-        assert sol8.termination is Termination.CONVERGED
-        assert 30 <= sol8.iterations <= 160
-        lo, hi = value_bounds(g8)
-        assert lo <= sol8.L <= sol8.U <= hi
+        # Kelley's floored loop lands near the published iteration scale:
+        # ~29 at n=5, ~73 at n=8 (epsilon 1e-3, varied draws); the
+        # smoothed solve takes fewer and brackets the same value
+        for n, seed, low, high in ((5, 71, 10, 60), (8, 72, 30, 160)):
+            game = sample_game(SCHEMES["varied"], n, per_game_seed(seed, 0))
+            kelley = kelley_solve(game, 1e-3)
+            assert kelley.converged
+            assert low <= kelley.iterations <= high
+            sol = solve(game, SolveConfig(epsilon=1e-3))
+            assert sol.termination is Termination.CONVERGED
+            assert sol.iterations < kelley.iterations
+            assert sol.L <= kelley.U and kelley.L <= sol.U
+            lo, hi = value_bounds(game)
+            assert lo <= sol.L <= sol.U <= hi
 
     def test_extreme_alpha_spread_converges(self):
         # near-boundary floors make successive best responses share very
@@ -160,18 +182,31 @@ class TestSolve:
         assert full.termination is Termination.CONVERGED
 
     def test_refused_best_response_reports_stall(self):
-        # epsilon below the payoff tolerance: the best response at the
-        # last LP optimum pays a column that is already stored
+        # epsilon below the payoff tolerance: every query of the last
+        # iteration, down to p_k itself, returns a column already stored
         game = SearchGame(t=(1.0, 2.0), alpha=(0.3, 0.7))
         sol = solve(game, SolveConfig(epsilon=1e-13))
         assert sol.termination is Termination.STALLED
         assert sol.termination.value == "stalled"  # as the CLI prints it
-        assert sol.iterations == 8 < SolveConfig().max_iterations
-        assert len(sol.sequences) == 9
+        assert sol.iterations == 5 < SolveConfig().max_iterations
+        assert len(sol.sequences) == 6
         final = sol.trace[-1]
         assert final.added_sequence is None
-        assert not any(final.binding)
+        assert final.mispriced == len(_QUERY_WEIGHTS) + 1
         assert 1e-13 <= final.gap < 1e-10
+
+    def test_unmoved_center_reports_stall(self):
+        # the last response is new but cuts nothing, and L no longer rises:
+        # the next iteration would replay this one, so the solve stalls
+        # instead of running to max_iterations
+        game = sample_game(SCHEMES["varied"], 3, per_game_seed(91, 17))
+        sol = solve(game, SolveConfig(epsilon=1e-13))
+        assert sol.termination is Termination.STALLED
+        assert sol.iterations < 100
+        before, final = sol.trace[-2:]
+        assert final.added_sequence is None
+        assert final.lower == before.lower
+        assert final.gap < 1e-10
 
     def test_epsilon_must_be_finite_and_positive(self):
         for bad in (0.0, -1e-6, math.nan, math.inf):
@@ -198,20 +233,45 @@ class TestSolveInvariants:
             )
 
     def test_upper_bounds_nonincreasing_and_cuts(self):
+        mispriced = 0
         for game in self.games(15):
             sol = solve(game, SolveConfig(epsilon=1e-6))
+            # U never rises beyond the growth of the worst bracket half-width
             uppers = [rec.upper for rec in sol.trace]
             for a, b in zip(uppers, uppers[1:]):
                 assert b <= a * (1 + 1e-9)
-            # an equal consecutive upper bound means the value was found
-            for a, b in zip(uppers, uppers[1:]):
-                if a == b:
-                    assert abs(b - sol.U) <= 1e-6 * sol.U
+            # L is the best lower bound so far, starting from u(p0)
+            lowers = [best_response_value(game, p0(game))[0].lower]
+            lowers += [rec.lower for rec in sol.trace]
+            assert lowers == sorted(lowers)
+            # p_star is the stability center, the point whose u gave L
+            assert best_response_value(game, sol.p_star)[0].lower == sol.L
+            # every column stored after the rotations is new and cuts off
+            # (p_k, v_k), with p_k and v_k re-derived from the columns
+            # stored before it; LP rounding alone can let a stored column
+            # pass the cut test
+            columns = [_column_values(game, seq)[0] for seq in sol.sequences]
+            assert len({c.tobytes() for c in columns}) == len(columns)
+            for rec in sol.trace:
+                if rec.added_sequence is not None:
+                    k = rec.added_sequence
+                    lp = solve_hider_lp(np.column_stack(columns[:k]),
+                                        np.zeros(game.n))
+                    assert lp.p.as_array() @ columns[k] < lp.v
+            # a mispriced first query lifts L by at least LAMBDA (U - L), so
+            # an iteration that ends with no new column still makes progress
+            for rec, before in zip(sol.trace, lowers):
+                if rec.mispriced:
+                    mispriced += 1
+                    rise = rec.lower - before
+                    slack = 1e-9 * rec.upper
+                    assert rise >= _LAMBDA * (rec.upper - before) - slack
             for rec in sol.trace[:-1]:
-                assert rec.lower < rec.upper  # the new column cuts p_k
+                if rec.added_sequence is None:
+                    assert rec.mispriced >= len(_QUERY_WEIGHTS)
             final = sol.trace[-1]
             assert final.gap < 1e-6
-            assert not any(final.binding)
+        assert mispriced > 0
 
     def test_searcher_guarantee_at_convergence(self):
         for game in self.games(10):
@@ -247,12 +307,15 @@ class TestSolveInvariants:
         path = tmp_path / "trace.csv"
         write_trace(sol, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,U,L,gap,added_seq,binding_mask"
-        assert len(lines) == 1 + len(sol.trace)
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        assert float(first[1]) == sol.trace[0].upper
-        assert len(first[5]) == game.n
+        assert lines[0] == "# boxsearch-trace-v2"
+        assert lines[1] == "iter,U,L,gap,added_seq,mispriced"
+        assert len(lines) == 2 + len(sol.trace)
+        for line, rec in zip(lines[2:], sol.trace):
+            fields = line.split(",")
+            assert int(fields[0]) == rec.iteration
+            assert float(fields[1]) == rec.upper
+            assert float(fields[2]) == rec.lower
+            assert int(fields[5]) == rec.mispriced
 
 
 class TestP0Optimality:
