@@ -22,16 +22,25 @@ point the sequence provably repeats the window forever.
 
 A detected cycle is the sequence's periodic tail: past the cycle's entry
 a sequence extends from the cycle's pattern, and otherwise from its index
-stream. Sequences are generated lazily and extended on demand; per-box
-visit completion times are memoized so repeated payoff evaluations never
-regenerate prefixes.
+streams. Sequences are generated lazily, one request at a time (so many
+searches, or so many visits of some boxes). A request is realized in
+blocks: each box's next indices come from one sequential product, a
+cumprod that yields exactly the floats of multiplying once per search,
+and the boxes' streams are merged by index. The one-step rule, one
+comparison of all indices per search, decides only the searches a merge
+cannot: near-ties, the forced prefix at p0, and rescaling (see
+_GittinsDriver). Per-box visit completion times are memoized so repeated
+payoff evaluations never regenerate prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -55,6 +64,10 @@ _CYCLE_STEP_BUDGET_FACTOR = 10_000
 # no index ever stalls among the subnormals
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE = 2.0 ** 600
+
+# bounds on the searches per box in one block's index streams
+_MIN_WIDTH = 4
+_MAX_WIDTH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,20 +126,33 @@ class CycleInfo:
 
 
 class _GittinsDriver:
-    """Streams the next box of a Gittins sequence against p.
+    """Generates the boxes of a Gittins sequence against p, in blocks.
 
-    Maintains current index values by one multiplication per step; drift
-    versus recomputing powers is ~1 ulp per step, far below the tie
-    tolerance. An optional forced prefix pins the first searches to a
-    given order (the designed starting tie at p0). `tied` records whether
-    any step after that prefix found two or more boxes within tolerance
-    of the maximal index, i.e. whether the tie ordering ever mattered."""
+    Box j's upcoming indices form one sequential product: idx_j, then
+    idx_j q_j, idx_j q_j^2, ... with q_j = 1 - alpha_j. A row-wise
+    np.cumprod yields exactly the floats that multiplying the index once
+    per search would, so a block takes those streams for every box and
+    merges them by (-index, box). As long as no other box's index comes
+    within tolerance of the largest, that merge is the sequence.
 
-    __slots__ = ("alpha", "idx", "rank", "tol", "forced", "pos", "tied")
+    A block stops before any search that needs the one-step rule (step):
+    one where another box's next index reaches the cut v - v * tol of the
+    emitted index v (an exact tie at tol = 0, a near-tie within
+    TIE_REL_TOL otherwise), one in the forced prefix that pins the first
+    searches to a given order (the designed starting tie at p0), and one
+    whose index falls below _RESCALE_BELOW. A block also stops after the
+    last search that its request needs, so a request never realizes a
+    search, or a tie, that searching one box at a time would not have.
+    `tied` records whether any search after the forced prefix found two
+    or more boxes within tolerance of the maximal index, i.e. whether the
+    tie ordering ever mattered."""
+
+    __slots__ = ("alpha", "q", "idx", "rank", "tol", "forced", "pos", "tied")
 
     def __init__(self, game: SearchGame, p: HidingStrategy, order: TieOrdering,
                  tol: float, forced: tuple[int, ...] | None):
         self.alpha = game.alpha
+        self.q = 1.0 - np.asarray(game.alpha)
         self.idx = [
             pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)
         ]
@@ -137,6 +163,8 @@ class _GittinsDriver:
         self.tied = False
 
     def step(self) -> int:
+        """The one-step rule: search a box of maximal index, breaking
+        ties within tolerance by the ordering."""
         if self.forced is not None and self.pos < len(self.forced):
             choice = self.forced[self.pos]
         else:
@@ -165,6 +193,113 @@ class _GittinsDriver:
         # index 0 means the box is never searched again: p_i = 0, or a
         # perfect box already searched once
         return self.idx[i] > 0.0
+
+    def _step_due(self) -> bool:
+        """Whether the next search is one for the one-step rule."""
+        if self.forced is not None and self.pos < len(self.forced):
+            return True
+        best = max(self.idx)
+        if best < _RESCALE_BELOW:
+            return True
+        cut = best - best * self.tol
+        return sum(v >= cut for v in self.idx) > 1
+
+    def take(self, steps: int | None, need: np.ndarray | None) -> np.ndarray:
+        """The next searches. With `steps`, that many. With `need`, up to
+        the search after which every box i has been searched need[i] more
+        times or can never be searched again."""
+        n = len(self.idx)
+        blocks = []
+        done = 0
+        # streams twice the largest need: the boxes a request waits on
+        # seldom outrun them, so one block usually serves it
+        width = steps if need is None else 2 * int(need.max())
+        while True:
+            if need is None:
+                # with every index zero the one-step rule raises; the
+                # searches realized so far stand
+                if done == steps or max(self.idx) <= 0.0:
+                    break
+            elif not any(k > 0 and v > 0.0
+                         for k, v in zip(need.tolist(), self.idx)):
+                break
+            if self._step_due():
+                block = np.array([self.step()])
+            else:
+                width = min(max(width, _MIN_WIDTH), _MAX_WIDTH)
+                block = self._merge(
+                    width, None if steps is None else steps - done, need
+                )
+                # a block cut short by the one-step rule suggests more such
+                # searches ahead: halve the streams; one that ran out of
+                # its streams: double them
+                width = width // 2 if self._step_due() else 2 * width
+            blocks.append(block)
+            done += len(block)
+            if need is not None:
+                need = need - np.bincount(block, minlength=n)
+        return np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
+
+    def _merge(self, width: int, steps: int | None,
+               need: np.ndarray | None) -> np.ndarray:
+        """One block from index streams of `width` searches per box. Its
+        first search is not for the one-step rule, so it is never empty."""
+        n = len(self.idx)
+        grid = np.empty((n, width + 1))
+        grid[:, 0] = self.idx
+        grid[:, 1:] = self.q[:, None]
+        streams = np.cumprod(grid, axis=1)
+        # descending by index; stable on the box-major layout, so equal
+        # indices go to the lower box
+        keys = -streams.ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        boxes = order // (width + 1)
+        # past a stream's last entry that box's next index is unknown, and
+        # below _RESCALE_BELOW the one-step rule rescales
+        stop = int(min(
+            np.searchsorted(keys, -streams[:, -1].max(), side="left"),
+            np.searchsorted(keys, -_RESCALE_BELOW, side="right"),
+        ))
+        # while one box runs in the merge, the largest index of any other
+        # box is the entry after the run; the cut of each emitted index
+        # only falls along the run, so a run holds a tie only if its last
+        # search ties with that entry, and its ties end the run
+        ends = np.flatnonzero(boxes[1:] != boxes[:-1])
+        ends = ends[:np.searchsorted(ends, stop) + 1]
+        last = -keys[ends]
+        tied = ends[-keys[ends + 1] >= last - last * self.tol]
+        if len(tied):
+            first = end = int(tied[0])
+            head = -keys[end + 1]
+            while first > 0 and boxes[first - 1] == boxes[end]:
+                v = -keys[first - 1]
+                if head < v - v * self.tol:
+                    break
+                first -= 1
+            stop = min(stop, first)
+        if steps is not None:
+            stop = min(stop, steps)
+        else:
+            stop = min(stop, _request_end(streams, keys, need))
+        block = boxes[:stop]
+        self.idx = streams[np.arange(n), np.bincount(block, minlength=n)].tolist()
+        self.pos += stop
+        return block
+
+
+def _request_end(streams: np.ndarray, keys: np.ndarray,
+                 need: np.ndarray) -> int:
+    """How many searches of a merge (keys: its negated indices, sorted) a
+    request for need[i] more searches of each box i takes: up to the last
+    search it needs that its box can still get (a stream ending in zeros
+    has no more). Equal indices of two boxes are a tie, where a block
+    stops anyway, so a search's place is the first of its index."""
+    short = np.flatnonzero((need > 0) & (streams[:, 0] > 0.0))
+    count = np.minimum(need[short], streams.shape[1])
+    if not streams[short, -1].all():
+        count = np.minimum(count, np.count_nonzero(streams[short], axis=1))
+    return int(np.searchsorted(keys, -streams[short, count - 1]).max()) + 1
 
 
 class SearchSequence:
@@ -202,6 +337,24 @@ class SearchSequence:
         self._elapsed += self.game.t[b]
         self._visits[b].append(self._elapsed)
 
+    def _append_all(self, boxes: np.ndarray) -> None:
+        """Append a block of searches; one cumsum from the elapsed time
+        gives the same visit times as adding them one at a time."""
+        if not len(boxes):
+            return
+        times = np.empty(len(boxes) + 1)
+        times[0] = self._elapsed
+        times[1:] = np.asarray(self.game.t)[boxes]
+        times = np.cumsum(times)[1:]
+        self._elapsed = float(times[-1])
+        self._boxes.extend(boxes.tolist())
+        by_box = np.argsort(boxes, kind="stable")
+        grouped = times[by_box].tolist()
+        start = 0
+        for b, count in enumerate(np.bincount(boxes).tolist()):
+            self._visits[b].extend(grouped[start:start + count])
+            start += count
+
     def _extend_once(self) -> None:
         if self._driver is not None:
             self._append(self._driver.step())
@@ -218,6 +371,11 @@ class SearchSequence:
         return len(self._boxes)
 
     def ensure_length(self, length: int) -> None:
+        missing = length - len(self._boxes)
+        if missing <= 0:
+            return
+        if self._driver is not None:
+            self._append_all(self._driver.take(missing, None))
         while len(self._boxes) < length:
             self._extend_once()
 
@@ -241,14 +399,36 @@ class SearchSequence:
             return self._driver.can_visit(i)
         return self.cycle is not None and i in self.cycle.pattern
 
-    def ensure_visits(self, i: int, count: int) -> None:
-        while len(self._visits[i]) < count:
-            if not self.can_visit_more(i):
+    def ensure_visits(self, i: int | Sequence[int],
+                      count: int | Sequence[int]) -> None:
+        """Extend until box i has `count` realized visits. `i` and `count`
+        may also be equal-length sequences of boxes and counts: one request
+        for all of them, realizing the searches up to the last one needed
+        that its box can still get. Raises InsufficientPrefix when a box
+        can never get its count."""
+        if np.ndim(i) == 0:
+            if len(self._visits[i]) >= count:
+                return
+            boxes, counts = (i,), (count,)
+        else:
+            boxes, counts = i, count
+        need = [0] * self.game.n
+        for b, c in zip(boxes, counts):
+            need[b] = max(need[b], c - len(self._visits[b]))
+        if not any(need):
+            return
+        if self._driver is not None:
+            self._append_all(self._driver.take(None, np.array(need)))
+        else:
+            for b, c in zip(boxes, counts):
+                while len(self._visits[b]) < c and self.can_visit_more(b):
+                    self._extend_once()
+        for b, c in zip(boxes, counts):
+            if len(self._visits[b]) < c:
                 raise InsufficientPrefix(
-                    f"box {i} reaches only {len(self._visits[i])} visits; "
-                    f"{count} requested"
+                    f"box {b} reaches only {len(self._visits[b])} visits; "
+                    f"{c} requested"
                 )
-            self._extend_once()
 
     def visit_times(self, i: int) -> list[float]:
         """Realized completion times of searches of box i (read-only use)."""

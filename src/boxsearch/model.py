@@ -14,6 +14,7 @@ and all serialized sequences use 1-based indices.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -105,6 +106,13 @@ class SearchGame:
     @property
     def n(self) -> int:
         return len(self.t)
+
+    @functools.cached_property
+    def _derived(self) -> dict:
+        """Quantities other modules derive from the game once and keep on
+        it, keyed by the function deriving them. Not a field, so outside
+        eq, hash and repr."""
+        return {}
 
     def has_perfect_box(self) -> bool:
         return any(a == 1.0 for a in self.alpha)

@@ -16,7 +16,9 @@ cycle (x_i visits of box i repeating forever), the tail is a geometric
 sum with ratio (1-alpha_i)^{x_i} and payoff() returns the closed form of
 payoff_cyclic() as a zero-width bracket, exact up to rounding. Otherwise
 it grows R until the series bracket's relative width is below
-PAYOFF_REL_TOL.
+PAYOFF_REL_TOL, starting from a depth fixed per game and box. payoffs()
+evaluates several boxes of one sequence, after one request that realizes
+the visits all their starting depths need.
 
 Every mixed payoff here is interval arithmetic over per-box brackets, so
 reported values are certified brackets rather than point estimates. A box
@@ -26,6 +28,7 @@ INFINITE_PAYOFF sentinel (never a float inf that could enter a matrix).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +85,21 @@ class TailBoundParams:
     l_hat: float
 
 
+def _once_per_game(derive):
+    """Memoize derive(game) on the game: every payoff evaluation asks for
+    it, and kept on the game it dies with the game."""
+
+    @functools.wraps(derive)
+    def memoized(game: SearchGame):
+        derived = game._derived
+        if derive not in derived:
+            derived[derive] = derive(game)
+        return derived[derive]
+
+    return memoized
+
+
+@_once_per_game
 def tail_params(game: SearchGame) -> TailBoundParams:
     """Worst-case visit spacing under any Gittins sequence.
 
@@ -100,6 +118,26 @@ def tail_params(game: SearchGame) -> TailBoundParams:
         game.t[j] for j in range(game.n) if game.alpha[j] == 1.0
     )
     return TailBoundParams(l=l, l_hat=l_hat)
+
+
+@_once_per_game
+def _first_depths(game: SearchGame) -> list[int | None]:
+    """Memo of _first_depth per box, filled as boxes are evaluated."""
+    return [None] * game.n
+
+
+def _first_depth(game: SearchGame, i: int) -> int:
+    """The series depth R that payoff() tries first for box i: the first R
+    with tail <= PAYOFF_REL_TOL * t_i, which suffices since t_i <= tau_i(1)
+    <= lower. 0 for a perfect box, whose payoff is its first visit time."""
+    depths = _first_depths(game)
+    if depths[i] is None:
+        a = game.alpha[i]
+        depths[i] = 0 if a == 1.0 else max(1, math.ceil(
+            math.log(PAYOFF_REL_TOL * game.t[i] * a / tail_params(game).l_hat)
+            / math.log(1.0 - a)
+        ))
+    return depths[i]
 
 
 def payoff_truncated(
@@ -152,22 +190,33 @@ def _payoff_uncached(game, i, xi):
     if xi.cycle is not None:
         v = payoff_cyclic(game, i, xi)
         return PayoffBracket(v, v, 0)
-    a = game.alpha[i]
-    if a == 1.0:
+    if game.alpha[i] == 1.0:
         xi.ensure_visits(i, 1)
         tau1 = xi.visit_times(i)[0]
         return PayoffBracket(tau1, tau1, 0)
     tail = tail_params(game).l_hat
-    q = 1.0 - a
-    # first R with tail <= PAYOFF_REL_TOL * t_i; t_i <= tau_i(1) <= lower
-    R = max(1, math.ceil(
-        math.log(PAYOFF_REL_TOL * game.t[i] * a / tail) / math.log(q)
-    ))
+    R = _first_depth(game, i)
     while True:
         lower, upper = payoff_truncated(game, i, xi, R, tail_time=tail)
         if upper <= lower * (1.0 + PAYOFF_REL_TOL):
             return PayoffBracket(lower, upper, R)
         R *= 2
+
+
+def payoffs(game: SearchGame, xi: SearchSequence,
+            boxes) -> list[PayoffBracket | _InfinitePayoff]:
+    """payoff() for each box in `boxes`, after one request that realizes
+    the visits every series evaluation among them needs first, so that xi
+    extends once for all of them rather than once per box."""
+    if xi.cycle is None:
+        todo = [
+            i for i in boxes
+            if i not in xi._payoff_cache
+            and (xi.num_visits(i) > 0 or xi.can_visit_more(i))
+        ]
+        if todo:
+            xi.ensure_visits(todo, [_first_depth(game, i) + 1 for i in todo])
+    return [payoff(game, i, xi) for i in boxes]
 
 
 def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
@@ -227,18 +276,16 @@ def expected_payoff(
     Boxes with p_i = 0 contribute nothing, even when their payoff is the
     infinite sentinel. Each side is summed with fsum.
     """
+    support = [i for i, pi in enumerate(p.p) if pi != 0.0]
     lower, upper = [], []
     used = 0
-    for i, pi in enumerate(p.p):
-        if pi == 0.0:
-            continue
-        br = payoff(game, i, xi)
+    for i, br in zip(support, payoffs(game, xi, support)):
         if br.is_infinite:
             raise BoxNeverSearched(
-                f"box {i} has p_i = {pi} > 0 but is never searched"
+                f"box {i} has p_i = {p.p[i]} > 0 but is never searched"
             )
-        lower.append(pi * br.lower)
-        upper.append(pi * br.upper)
+        lower.append(p.p[i] * br.lower)
+        upper.append(p.p[i] * br.upper)
         used = max(used, br.searches_used)
     return PayoffBracket(math.fsum(lower), math.fsum(upper), used)
 

@@ -46,7 +46,7 @@ from .gittins import (
 )
 from .lp import LpSolution, recover_searcher_mixture, solve_hider_lp
 from .model import HidingStrategy, SearchGame, p0
-from .payoff import PayoffBracket, expected_payoff, mixed_payoff, payoff
+from .payoff import PayoffBracket, expected_payoff, mixed_payoff, payoffs
 
 P0_OPT_REL_THRESHOLD = 1e-9
 # column generation in the p0 test stops when the best ordering pays at
@@ -130,7 +130,7 @@ def _column_values(game: SearchGame,
                    seq: SearchSequence) -> tuple[np.ndarray, float]:
     """Midpoint payoffs u(i, seq) for all boxes and their worst bracket
     half-width (zero on sequences with a cycle, where brackets are exact)."""
-    brackets = [payoff(game, i, seq) for i in range(game.n)]
+    brackets = payoffs(game, seq, range(game.n))
     half = max(0.5 * b.width for b in brackets)
     return np.array([b.midpoint for b in brackets]), half
 

@@ -1,0 +1,80 @@
+"""The one-step Gittins generator, kept as a test oracle.
+
+This is how boxsearch generated Gittins sequences before it realized
+them in blocks: every search re-reads all current indices, takes the
+largest (ties within the tolerance go to the box earliest in the tie
+ordering, and set `tied` once the forced prefix is over), multiplies the
+chosen box's index by 1 - alpha, and adds the search time to the clock.
+The largest index is rescaled by 2**600 once it falls below 2**-600.
+Block generation must reproduce its boxes, visit times, `tied` flag and
+length after every request exactly.
+"""
+
+from boxsearch.errors import InsufficientPrefix, NumericalFailure
+from boxsearch.gittins import TIE_REL_TOL, TieOrdering
+from boxsearch.model import p0
+
+_RESCALE_BELOW = 2.0 ** -600
+_RESCALE = 2.0 ** 600
+
+
+class OracleSequence:
+    """The Gittins counter to p that gittins_sequence builds on a game
+    without declared cyclic structure, one search at a time."""
+
+    def __init__(self, game, p, order: TieOrdering | None = None):
+        exact = order is None
+        if exact:
+            order = TieOrdering.identity(game.n)
+        at_p0 = all(
+            abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, p0(game).p)
+        )
+        self.game = game
+        self.idx = [pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)]
+        self.rank = order.rank()
+        self.tol = 0.0 if exact else TIE_REL_TOL
+        self.forced = order.sigma if at_p0 and not exact else ()
+        self.tied = False
+        self.boxes: list[int] = []
+        self.visits: list[list[float]] = [[] for _ in range(game.n)]
+        self.elapsed = 0.0
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def _step(self) -> None:
+        if len(self.boxes) < len(self.forced):
+            choice = self.forced[len(self.boxes)]
+        else:
+            best = max(self.idx)
+            if best < _RESCALE_BELOW:
+                if best <= 0.0:
+                    raise NumericalFailure("all Gittins indices are zero")
+                self.idx = [v * _RESCALE for v in self.idx]
+                best *= _RESCALE
+            cut = best - best * self.tol
+            choice, choice_rank = -1, len(self.idx)
+            for i, v in enumerate(self.idx):
+                if v >= cut:
+                    if choice >= 0:
+                        self.tied = True
+                    if self.rank[i] < choice_rank:
+                        choice, choice_rank = i, self.rank[i]
+        self.idx[choice] *= 1.0 - self.game.alpha[choice]
+        self.boxes.append(choice)
+        self.elapsed += self.game.t[choice]
+        self.visits[choice].append(self.elapsed)
+
+    def ensure_length(self, length: int) -> None:
+        while len(self.boxes) < length:
+            self._step()
+
+    def ensure_visits(self, boxes, counts) -> None:
+        """Search while some requested box is short of its count and can
+        still be searched (nonzero index); raise if one stays short."""
+        while any(len(self.visits[b]) < c and self.idx[b] > 0.0
+                  for b, c in zip(boxes, counts)):
+            self._step()
+        for b, c in zip(boxes, counts):
+            if len(self.visits[b]) < c:
+                raise InsufficientPrefix(f"box {b} stays short of {c} visits")

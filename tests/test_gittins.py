@@ -15,9 +15,11 @@ from boxsearch import (
     p0,
     sample_game,
 )
-from boxsearch.errors import CapExceeded, InsufficientPrefix
+from boxsearch.errors import CapExceeded, InsufficientPrefix, NumericalFailure
 from boxsearch.gittins import TieOrdering, from_boxes, from_pattern, replay_check
-from boxsearch.payoff import tail_params
+from boxsearch.payoff import _first_depth, tail_params
+from boxsearch.solver import _column_values
+from gittins_oracle import OracleSequence
 
 
 class TestGittinsIndex:
@@ -191,3 +193,161 @@ class TestCyclicSequence:
         assert counts == list(x)
         # the sealed continuation is a genuine Gittins sequence
         assert replay_check(game, p, seq, length=40)
+
+
+def _random_p(rng, n):
+    raw = rng.uniform(0.05, 1.0, size=n)
+    return HidingStrategy(tuple((raw / raw.sum()).tolist()))
+
+
+def _payoff_requests(game, rng, extra=4):
+    """The requests payoffs() and payoff() make: every box's first series
+    depth in one request, then doubled depths one box at a time; then a
+    few random single-box and length requests."""
+    n = game.n
+    depths = [_first_depth(game, i) for i in range(n)]
+    requests = [("visits", list(range(n)), [d + 1 for d in depths])]
+    requests += [("visits", i, 2 * depths[i] + 1) for i in range(n)]
+    for _ in range(extra):
+        if rng.random() < 0.5:
+            requests.append(("visits", int(rng.integers(n)),
+                             int(rng.integers(1, 4 * max(depths) + 2))))
+        else:
+            requests.append(("length", int(rng.integers(1, 1200))))
+    return requests
+
+
+def _replay(game, p, order, requests):
+    """Run the same requests on a generated sequence and on the one-step
+    oracle; both must raise alike and agree on length and `tied` after
+    each, and on every box and visit time at the end. Returns the oracle."""
+    seq = gittins_sequence(game, p, order)
+    oracle = OracleSequence(game, p, order)
+    for kind, boxes, *counts in requests:
+        outcomes = []
+        for target in (seq, oracle):
+            try:
+                if kind == "length":
+                    target.ensure_length(boxes)
+                elif target is oracle and isinstance(boxes, int):
+                    target.ensure_visits([boxes], counts)
+                else:
+                    target.ensure_visits(boxes, *counts)
+                outcomes.append("ok")
+            except (InsufficientPrefix, NumericalFailure) as exc:
+                outcomes.append(type(exc).__name__)
+        assert outcomes[0] == outcomes[1], (kind, boxes, counts)
+        assert len(seq) == len(oracle), (kind, boxes, counts)
+        assert seq.tied == oracle.tied, (kind, boxes, counts)
+    assert list(seq.prefix(len(seq))) == oracle.boxes
+    assert [seq.visit_times(i) for i in range(game.n)] == oracle.visits
+    return oracle
+
+
+class TestBlockGeneration:
+    """Blocks realize exactly the searches, visit times and ties of the
+    one-step rule (tests/gittins_oracle.py), request by request."""
+
+    def test_random_games_exact_and_sigma(self):
+        rng = np.random.default_rng(81)
+        for n in range(2, 9):
+            for _ in range(3):
+                game = sample_game(SCHEMES["varied"], n, rng)
+                sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
+                _replay(game, _random_p(rng, n), None,
+                        _payoff_requests(game, rng))
+                _replay(game, p0(game), sigma, _payoff_requests(game, rng))
+
+    def test_near_cyclic_games_tie(self):
+        # cyclic alphas without the declared structure: the index streams
+        # meet again within rounding at every cycle, so the sigma counters
+        # to p0 keep meeting near-ties that only the tolerance makes ties
+        rng = np.random.default_rng(82)
+        tied = 0
+        for _ in range(12):
+            n = int(rng.integers(2, 5))
+            x = [int(v) for v in rng.integers(1, 4, size=n)]
+            x[0] = 1
+            cyclic = make_cyclic_game(
+                float(rng.uniform(0.05, 0.6)), x,
+                [float(v) for v in rng.uniform(1, 5, size=n)],
+            )
+            game = SearchGame(t=cyclic.t, alpha=cyclic.alpha)
+            sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
+            oracle = _replay(game, p0(game), sigma, _payoff_requests(game, rng))
+            tied += oracle.tied
+        assert tied >= 6
+
+    def test_identical_boxes(self):
+        rng = np.random.default_rng(83)
+        game = SearchGame(t=(1.0, 1.0, 1.0), alpha=(0.4, 0.4, 0.4))
+        for order in (None, TieOrdering((2, 0, 1))):
+            oracle = _replay(game, p0(game), order, _payoff_requests(game, rng))
+            assert oracle.tied
+        _replay(game, HidingStrategy((0.5, 0.25, 0.25)), None,
+                _payoff_requests(game, rng))
+
+    def test_zero_mass_box(self):
+        rng = np.random.default_rng(84)
+        game = SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.3, 0.6, 0.5))
+        p = HidingStrategy((0.6, 0.0, 0.4))
+        requests = [("visits", [0, 2], [30, 30]), ("visits", 1, 1),
+                    ("visits", [0, 1, 2], [60, 2, 45]), ("length", 400)]
+        _replay(game, p, None, requests + _payoff_requests(game, rng))
+
+    def test_perfect_box(self):
+        rng = np.random.default_rng(85)
+        game = SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.5, 1.0, 0.3),
+                          allow_perfect=True)
+        requests = [("visits", [0, 1, 2], [3, 1, 3]), ("visits", 1, 2),
+                    ("visits", [2, 1, 0], [80, 3, 40]), ("length", 500)]
+        for p, order in ((_random_p(rng, 3), None),
+                         (p0(game), TieOrdering((1, 2, 0)))):
+            _replay(game, p, order, requests + _payoff_requests(game, rng))
+        # once every box is searched out, the one-step rule raises
+        only_perfect = SearchGame(t=(1.0, 2.0), alpha=(1.0, 1.0),
+                                  allow_perfect=True)
+        oracle = _replay(only_perfect, HidingStrategy((0.5, 0.5)), None,
+                         [("length", 5), ("visits", [0, 1], [1, 2])])
+        assert oracle.boxes == [0, 1]
+
+    def test_near_tie_inside_a_run(self):
+        # box 0's index falls by a factor 1 - 1e-10 per search, so it comes
+        # within the tie tolerance of box 1's about 10 searches before it
+        # falls below it; sigma prefers box 1, which wins the first of them
+        game = SearchGame(t=(1.0, 1.0), alpha=(1e-10, 0.5))
+        ratio = (1 - 5e-9) * game.alpha[0] / game.alpha[1]
+        p = HidingStrategy((1 / (1 + ratio), ratio / (1 + ratio)))
+        oracle = _replay(game, p, TieOrdering((1, 0)),
+                         [("length", 30), ("length", 120), ("visits", 1, 1)])
+        assert oracle.tied and 35 < oracle.boxes.index(1) < 50
+
+    def test_rescaled_indices(self):
+        # the underflow game: box 0's index passes 2**-600 after about
+        # 360 searches and is rescaled, inside one request; unscaled, the
+        # index streams of the first request reach the subnormals
+        game = SearchGame(t=(1.0, 1.0), alpha=(0.85, 0.05))
+        requests = [("visits", 1, 9000), ("visits", 0, 1200),
+                    ("length", 16000), ("visits", [0, 1], [1600, 16000])]
+        _replay(game, HidingStrategy((0.5, 0.5)), None, requests)
+
+    def test_no_tie_beyond_the_payoff_depth(self):
+        # q_1 is q_0**3 up to a factor 1 + 1e-7, so the ratio of the two
+        # indices at each cycle of four searches falls by that factor;
+        # started 40 cycles above 1, it is a near-tie only after ~160
+        # searches, well past the series depths the payoffs request
+        q0, eps = 0.5, 1e-7
+        game = SearchGame(t=(1.0, 1.0), alpha=(1 - q0, 1 - q0**3 * (1 + eps)))
+        ratio = (1 + eps) ** 40 * game.alpha[1] / game.alpha[0]
+        p = HidingStrategy((ratio / (1 + ratio), 1 / (1 + ratio)))
+        seq = gittins_sequence(game, p, TieOrdering((0, 1)))
+        _column_values(game, seq)
+        assert not seq.tied
+        # the column realizes exactly the searches its depths need
+        oracle = OracleSequence(game, p, TieOrdering((0, 1)))
+        oracle.ensure_visits([0, 1], [_first_depth(game, i) + 1 for i in (0, 1)])
+        assert len(seq) == len(oracle) and not oracle.tied
+        oracle.ensure_length(400)
+        assert oracle.tied  # the tie exists, beyond what the payoffs need
+        seq.ensure_length(400)
+        assert seq.tied

@@ -95,6 +95,13 @@ class TestTailParams:
         params = tail_params(game)
         assert (params.l, params.l_hat) == (0, 0.0)
 
+    def test_kept_on_the_game(self):
+        game = SearchGame(t=(1.0, 1.0), alpha=(0.75, 0.5))
+        assert tail_params(game) is tail_params(game)
+        assert tail_params(game) == tail_params(
+            SearchGame(t=(1.0, 1.0), alpha=(0.75, 0.5))
+        )
+
 
 class TestPayoffTruncated:
     def test_zero_terms(self):
@@ -257,6 +264,14 @@ class TestExpectedAndMixed:
         seq = from_pattern(game, (0,))
         br = expected_payoff(game, HidingStrategy((1.0, 0.0)), seq)
         assert br.midpoint == pytest.approx(2.0, rel=1e-10)
+
+    def test_zero_mass_box_needs_no_series_depth(self):
+        # 1 - alpha_0 rounds to 1, so box 0 has no finite series depth;
+        # with p_0 = 0 it is never evaluated
+        game = SearchGame(t=(1.0, 1.0), alpha=(1e-17, 0.5))
+        p = HidingStrategy((0.0, 1.0))
+        br = expected_payoff(game, p, gittins_sequence(game, p))
+        assert br.lower == 2.0 and br.upper <= 2.0 * (1.0 + 1e-10)
 
     def test_positive_mass_on_unsearched_box_raises(self):
         game = identical()
