@@ -1,19 +1,13 @@
-"""Dense simplex solver for the floored hider LP.
+"""Dense simplex solver for the hider LP, a plain matrix game.
 
 The iteration's subproblem is: maximize v subject to
-v <= sum_i p_i u[i][k] for every stored column k, p_i >= delta_i, and
-sum p_i = 1. Substituting p = delta + s*w with s = 1 - sum(delta) and
-w on the plain simplex turns this into a standard matrix game with the
-column-shifted payoffs
-
-    u~[i][k] = s * u[i][k] + (delta . u[:,k]),
-
-whose value equals the LP optimum and whose row/column strategies map
-back as p = delta + s*w and theta unchanged. Since all entries are
-positive, the game solves by one primal simplex pass on the column
-player's scaled form (maximize 1'y subject to u~ y <= 1, y >= 0): the
-slack basis is immediately feasible, the row strategy w falls out of the
-dual prices, and a vertex solution mixes at most n columns.
+v <= sum_i p_i u[i][k] for every stored column k and p on the simplex,
+i.e. the hider's side of the matrix game u with rows as boxes and the
+stored search sequences as columns. Since all entries are positive, the
+game solves by one primal simplex pass on the column player's scaled form
+(maximize 1'y subject to u y <= 1, y >= 0): the slack basis is
+immediately feasible, the row strategy p falls out of the dual prices,
+and a vertex solution mixes at most n columns.
 
 Instances are tiny (n+1 effective variables, tens to hundreds of
 columns), so a hand-rolled tableau keeps the solve deterministic:
@@ -32,18 +26,16 @@ from .model import HidingStrategy
 
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-11
-BINDING_REL_TOL = 1e-9
 DUAL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal floored hider strategy p, game value v, active-floor flags,
-    and the searcher's dual weights theta over columns."""
+    """Optimal hider strategy p, game value v, and the searcher's dual
+    weights theta over columns."""
 
     p: HidingStrategy
     v: float
-    binding: tuple[bool, ...]
     theta: np.ndarray
 
 
@@ -118,8 +110,8 @@ def _solve_game(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         return _simplex_game(A, bland=True)
 
 
-def solve_hider_lp(u: np.ndarray, delta) -> LpSolution:
-    """Maximize v s.t. v <= p.u[:,k] per column, p >= delta, sum p = 1.
+def solve_hider_lp(u: np.ndarray) -> LpSolution:
+    """Maximize v s.t. v <= p.u[:,k] per column, p >= 0, sum p = 1.
 
     u[i][k] is the payoff of box i against stored column k; every entry
     must be finite and > 0.
@@ -129,26 +121,12 @@ def solve_hider_lp(u: np.ndarray, delta) -> LpSolution:
         raise Infeasible(f"payoff matrix shape {u.shape} unusable")
     if not np.all(np.isfinite(u)) or not np.all(u > 0):
         raise NumericalFailure("payoff entries must be finite and > 0")
-    n, m = u.shape
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (n,):
-        raise Infeasible(f"delta shape {delta.shape} != ({n},)")
-    s = 1.0 - float(delta.sum())
-    if s <= 0.0:
-        raise Infeasible(f"floors sum to {delta.sum()} >= 1")
-    shifted = s * u + delta @ u  # u~[i,k] = s u[i,k] + b_k, broadcast over rows
-    w, theta, v = _solve_game(shifted)
-    p_raw = delta + s * w
-    p_raw = p_raw / p_raw.sum()
-    p = HidingStrategy(tuple(p_raw.tolist()))
-    slack = s * w
-    binding = tuple(
-        bool(slack[i] <= BINDING_REL_TOL * delta[i]) for i in range(n)
-    )
+    w, theta, v = _solve_game(u)
+    p = HidingStrategy(tuple((w / w.sum()).tolist()))
     # prune dual noise and renormalize; a vertex already mixes <= n columns
     theta = np.where(theta > 1e-12 * max(1.0, theta.max()), theta, 0.0)
     theta = theta / theta.sum()
-    return LpSolution(p=p, v=v, binding=binding, theta=theta)
+    return LpSolution(p=p, v=v, theta=theta)
 
 
 def recover_searcher_mixture(u: np.ndarray,
@@ -156,8 +134,8 @@ def recover_searcher_mixture(u: np.ndarray,
     """Validate and return the searcher's optimal column weights.
 
     Checks complementary slackness (supported columns pay exactly v
-    against p), support size at most n, and, when no floor binds, the
-    unconstrained-hider guarantee max_i (u theta)_i <= v + tol.
+    against p), support size at most n, and the searcher's guarantee
+    max_i (u theta)_i <= v + tol.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
@@ -175,10 +153,6 @@ def recover_searcher_mixture(u: np.ndarray,
     support = np.nonzero(theta)[0]
     if np.any(np.abs(col_values[support] - v) > scale):
         raise DualInconsistent("a supported column does not pay v against p")
-    if not any(solution.binding):
-        row_values = u @ theta
-        if float(row_values.max()) > v + scale:
-            raise DualInconsistent(
-                "mixture exceeds v against some box despite no binding floor"
-            )
+    if float((u @ theta).max()) > v + scale:
+        raise DualInconsistent("mixture exceeds v against some box")
     return theta

@@ -3,7 +3,8 @@
 A game has n boxes; searching box i takes t_i > 0 time units and finds a
 hider in that box independently with probability alpha_i. alpha_i = 1
 (perfect detection) is admitted only behind the allow_perfect flag; the
-iterative solver and the p0 optimality test both handle such games. A
+iterative solver and the p0 optimality test both handle such games. An
+alpha_i so small that 1 - alpha_i rounds to 1 is refused. A
 game is *cyclic* when (1-alpha_i)^x_i is the same base c for all boxes,
 for coprime positive integers x_i; cyclic structure is declared by
 construction (make_cyclic_game), never detected from floats.
@@ -75,6 +76,11 @@ class SearchGame:
         for i, ai in enumerate(self.alpha):
             if not (0.0 < ai <= 1.0):
                 raise ProbabilityOutOfRange(f"alpha[{i}] = {ai} not in (0, 1]")
+            # such a box's index never decays and its series never ends
+            if 1.0 - ai == 1.0:
+                raise ProbabilityOutOfRange(
+                    f"alpha[{i}] = {ai} too small: 1 - alpha[{i}] rounds to 1"
+                )
             if ai == 1.0 and not self.allow_perfect:
                 raise ProbabilityOutOfRange(
                     f"alpha[{i}] = 1 requires allow_perfect"

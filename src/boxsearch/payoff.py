@@ -121,28 +121,22 @@ def tail_params(game: SearchGame) -> TailBoundParams:
 
 
 @_once_per_game
-def _first_depths(game: SearchGame) -> list[int | None]:
-    """Memo of _first_depth per box, filled as boxes are evaluated."""
-    return [None] * game.n
-
-
-def _first_depth(game: SearchGame, i: int) -> int:
-    """The series depth R that payoff() tries first for box i: the first R
-    with tail <= PAYOFF_REL_TOL * t_i, which suffices since t_i <= tau_i(1)
-    <= lower. 0 for a perfect box, whose payoff is its first visit time."""
-    depths = _first_depths(game)
-    if depths[i] is None:
-        a = game.alpha[i]
-        depths[i] = 0 if a == 1.0 else max(1, math.ceil(
-            math.log(PAYOFF_REL_TOL * game.t[i] * a / tail_params(game).l_hat)
-            / math.log(1.0 - a)
+def _first_depths(game: SearchGame) -> list[int]:
+    """The series depth R that payoff() tries first for each box: the
+    first R with tail <= PAYOFF_REL_TOL * t_i, which suffices since t_i <=
+    tau_i(1) <= lower. 0 for a perfect box, whose payoff is its first
+    visit time."""
+    l_hat = tail_params(game).l_hat
+    return [
+        0 if a == 1.0 else max(1, math.ceil(
+            math.log(PAYOFF_REL_TOL * t * a / l_hat) / math.log(1.0 - a)
         ))
-    return depths[i]
+        for t, a in zip(game.t, game.alpha)
+    ]
 
 
 def payoff_truncated(
     game: SearchGame, i: int, xi: SearchSequence, R: int,
-    tail_time: float | None = None,
 ) -> tuple[float, float]:
     """(lower, upper) bracket of u(i, xi) from the first R series terms.
 
@@ -159,9 +153,7 @@ def payoff_truncated(
         tail_factor = float(q_pows[-1]) * (1.0 - a)
     else:
         tail_factor = 1.0 - a
-    if tail_time is None:
-        tail_time = tail_params(game).l_hat
-    return lower, lower + tail_time * tail_factor / a
+    return lower, lower + tail_params(game).l_hat * tail_factor / a
 
 
 def payoff(
@@ -194,10 +186,9 @@ def _payoff_uncached(game, i, xi):
         xi.ensure_visits(i, 1)
         tau1 = xi.visit_times(i)[0]
         return PayoffBracket(tau1, tau1, 0)
-    tail = tail_params(game).l_hat
-    R = _first_depth(game, i)
+    R = _first_depths(game)[i]
     while True:
-        lower, upper = payoff_truncated(game, i, xi, R, tail_time=tail)
+        lower, upper = payoff_truncated(game, i, xi, R)
         if upper <= lower * (1.0 + PAYOFF_REL_TOL):
             return PayoffBracket(lower, upper, R)
         R *= 2
@@ -215,7 +206,8 @@ def payoffs(game: SearchGame, xi: SearchSequence,
             and (xi.num_visits(i) > 0 or xi.can_visit_more(i))
         ]
         if todo:
-            xi.ensure_visits(todo, [_first_depth(game, i) + 1 for i in todo])
+            depths = _first_depths(game)
+            xi.ensure_visits(todo, [depths[i] + 1 for i in todo])
     return [payoff(game, i, xi) for i in boxes]
 
 
@@ -291,14 +283,13 @@ def expected_payoff(
 
 
 def mixed_payoff(
-    game: SearchGame,
-    target: int | HidingStrategy,
-    theta: list[tuple[float, SearchSequence]],
+    game: SearchGame, i: int, theta: list[tuple[float, SearchSequence]],
 ) -> PayoffBracket:
-    """u(target, theta) for a searcher mixture theta over sequences.
+    """u(i, theta) for a hider in box i against a searcher mixture theta
+    over sequences.
 
-    target is a box index (pure hider) or a HidingStrategy. Weights must
-    be nonnegative and sum to 1. Each side is summed with fsum.
+    Weights must be nonnegative and sum to 1. Each side is summed with
+    fsum.
     """
     weights = [w for w, _ in theta]
     if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
@@ -310,14 +301,11 @@ def mixed_payoff(
     for w, xi in theta:
         if w == 0.0:
             continue
-        if isinstance(target, HidingStrategy):
-            br = expected_payoff(game, target, xi)
-        else:
-            br = payoff(game, target, xi)
-            if br.is_infinite:
-                raise BoxNeverSearched(
-                    f"box {target} never searched by a mixed-in sequence"
-                )
+        br = payoff(game, i, xi)
+        if br.is_infinite:
+            raise BoxNeverSearched(
+                f"box {i} never searched by a mixed-in sequence"
+            )
         lower.append(w * br.lower)
         upper.append(w * br.upper)
         used = max(used, br.searches_used)

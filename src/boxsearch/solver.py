@@ -194,7 +194,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         # the LP changes only when the last iteration stored a column
         if lp is None or added is not None:
             u = np.column_stack(columns)
-            lp = solve_hider_lp(u, np.zeros(game.n))
+            lp = solve_hider_lp(u)
         p_k = lp.p.as_array()
         # the LP sees bracket midpoints; inflating its value by the worst
         # half-width keeps the reported upper bound certified
@@ -317,7 +317,7 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     stored = {o.sigma for o in orderings}
     while True:
         u = np.column_stack(columns)
-        lp = solve_hider_lp(u, np.zeros(game.n))
+        lp = solve_hider_lp(u)
         p = lp.p.as_array()
         sigma = _smith_order(game, p * alpha)
         if sigma in stored:
@@ -339,7 +339,7 @@ def _p0_test_exhaustive(game: SearchGame) -> P0TestResult:
     u = np.column_stack(
         [_column_values(game, seq)[0] for seq in sequences]
     )
-    lp = solve_hider_lp(u, np.zeros(game.n))
+    lp = solve_hider_lp(u)
     start = p0(game)
     best_col = int(np.argmin(start.as_array() @ u))
     return _p0_result(u, lp, sequences,

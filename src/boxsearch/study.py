@@ -23,6 +23,7 @@ import numpy as np
 from .errors import BoxSearchError, EmptyGame
 from .gittins import TieOrdering, gittins_sequence
 from .model import (
+    SCHEMES,
     HidingStrategy,
     SampleScheme,
     SearchGame,
@@ -229,25 +230,18 @@ def ruckle_sweep(alphas: Iterable[float]) -> list[RuckleRecord]:
     return records
 
 
-def two_box_games(count: int, seed: int = 0,
-                  scheme: SampleScheme | None = None):
-    """Sampled two-box games relabeled so box 0 has the lower future
-    benefit."""
-    from .model import SCHEMES
-
-    scheme = scheme or SCHEMES["varied"]
+def two_box_games(count: int, seed: int = 0):
+    """Sampled varied-scheme two-box games relabeled so box 0 has the lower
+    future benefit."""
     for idx in range(count):
-        game = sample_game(scheme, 2, per_game_seed(seed, idx))
+        game = sample_game(SCHEMES["varied"], 2, per_game_seed(seed, idx))
         if future_benefit(game, 0) > future_benefit(game, 1):
             game = SearchGame(t=game.t[::-1], alpha=game.alpha[::-1])
         yield game
 
 
 def two_box_study(
-    count: int,
-    seed: int = 0,
-    epsilon: float = 1e-6,
-    scheme: SampleScheme | None = None,
+    count: int, seed: int = 0, epsilon: float = 1e-6,
 ) -> TwoBoxStudyResult:
     """Sample two-box games, relabel so box 0 has the lower future
     benefit, and count the sign of p*_0 - p0_0 among games where p0 is
@@ -256,7 +250,7 @@ def two_box_study(
         raise EmptyGame("count must be >= 1")
     config = SolveConfig(epsilon=epsilon)
     n_sub = n_greater = n_smaller = 0
-    for game in two_box_games(count, seed, scheme):
+    for game in two_box_games(count, seed):
         if test_p0_optimality(game).optimal:
             continue
         n_sub += 1

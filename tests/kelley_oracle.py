@@ -13,11 +13,33 @@ from typing import NamedTuple
 
 import numpy as np
 
-from boxsearch import hider_floor
+from boxsearch import HidingStrategy, hider_floor
 from boxsearch.gittins import gittins_sequence, initial_orderings
-from boxsearch.lp import solve_hider_lp
+from boxsearch.lp import _solve_game
 from boxsearch.payoff import expected_payoff
 from boxsearch.solver import _column_values, _p0_counters
+
+
+class FlooredLp(NamedTuple):
+    p: HidingStrategy
+    v: float
+    binding: bool
+
+
+def floored_lp(u: np.ndarray, delta: np.ndarray) -> FlooredLp:
+    """Maximize v s.t. v <= p.u[:,k] per column, p >= delta, sum p = 1.
+
+    Substituting p = delta + s*w with s = 1 - sum(delta) and w on the
+    simplex turns this into the matrix game with column-shifted payoffs
+    s*u[i][k] + delta.u[:,k], whose value is the LP optimum. binding
+    reports whether any floor is active: s*w_i <= 1e-9 * delta_i.
+    """
+    s = 1.0 - float(delta.sum())
+    w, _, v = _solve_game(s * u + delta @ u)
+    p = delta + s * w
+    p = p / p.sum()
+    binding = any(s * wi <= 1e-9 * di for wi, di in zip(w, delta))
+    return FlooredLp(HidingStrategy(tuple(p.tolist())), v, binding)
 
 
 class KelleyResult(NamedTuple):
@@ -38,11 +60,11 @@ def kelley_solve(game, epsilon: float, max_iterations: int = 10000) -> KelleyRes
         worst_half = max(worst_half, half)
     stored = {values.tobytes() for values in columns}
     for k in range(1, max_iterations + 1):
-        lp = solve_hider_lp(np.column_stack(columns), delta)
+        lp = floored_lp(np.column_stack(columns), delta)
         upper = lp.v + worst_half
         response = gittins_sequence(game, lp.p)
         lower = expected_payoff(game, lp.p, response).lower
-        if upper / lower - 1.0 < epsilon and not any(lp.binding):
+        if upper / lower - 1.0 < epsilon and not lp.binding:
             return KelleyResult(lower, upper, k, True)
         values, half = _column_values(game, response)
         if values.tobytes() in stored:

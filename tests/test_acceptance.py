@@ -208,13 +208,13 @@ def test_c8_property_suites():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         u = rng.uniform(1.0, 50.0, size=(n, int(rng.integers(1, 10))))
-        delta = rng.uniform(0.0, 0.7 / n, size=n)
-        sol = solve_hider_lp(u, delta)
-        s = 1.0 - delta.sum()
-        shifted = s * u + delta @ u
-        primal = float(((np.asarray(sol.p.p) - delta) / s @ shifted).min())
-        dual = float((shifted @ sol.theta).max())
+        # no other hider strategy guarantees more than v
+        other = rng.uniform(0.0, 0.7 / n, size=n)
+        sol = solve_hider_lp(u)
+        primal = float((np.asarray(sol.p.p) @ u).min())
+        dual = float((u @ sol.theta).max())
         assert abs(primal - dual) <= 1e-9 * max(1.0, sol.v)
+        assert float((other / other.sum() @ u).min()) <= sol.v * (1 + 1e-9)
 
     # mixture support and probability floors on solved games
     for idx in range(25):

@@ -142,5 +142,11 @@ class TestExitCodes:
     def test_nan_epsilon(self, capsys, game_file):
         assert main(["solve", game_file, "--epsilon", "nan"]) == 2
 
+    def test_alpha_rounding_one_minus_to_one(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"t": [1, 1], "alpha": [1e-17, 0.5]}))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
     def test_bad_alpha_list(self, capsys):
         assert main(["ruckle", "--alphas", "0.5,oops"]) == 2

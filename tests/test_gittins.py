@@ -17,7 +17,7 @@ from boxsearch import (
 )
 from boxsearch.errors import CapExceeded, InsufficientPrefix, NumericalFailure
 from boxsearch.gittins import TieOrdering, from_boxes, from_pattern, replay_check
-from boxsearch.payoff import _first_depth, tail_params
+from boxsearch.payoff import _first_depths, tail_params
 from boxsearch.solver import _column_values
 from gittins_oracle import OracleSequence
 
@@ -205,7 +205,7 @@ def _payoff_requests(game, rng, extra=4):
     depth in one request, then doubled depths one box at a time; then a
     few random single-box and length requests."""
     n = game.n
-    depths = [_first_depth(game, i) for i in range(n)]
+    depths = _first_depths(game)
     requests = [("visits", list(range(n)), [d + 1 for d in depths])]
     requests += [("visits", i, 2 * depths[i] + 1) for i in range(n)]
     for _ in range(extra):
@@ -345,7 +345,7 @@ class TestBlockGeneration:
         assert not seq.tied
         # the column realizes exactly the searches its depths need
         oracle = OracleSequence(game, p, TieOrdering((0, 1)))
-        oracle.ensure_visits([0, 1], [_first_depth(game, i) + 1 for i in (0, 1)])
+        oracle.ensure_visits([0, 1], [d + 1 for d in _first_depths(game)])
         assert len(seq) == len(oracle) and not oracle.tied
         oracle.ensure_length(400)
         assert oracle.tied  # the tie exists, beyond what the payoffs need

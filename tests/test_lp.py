@@ -1,10 +1,12 @@
-"""The floored hider LP and searcher-mixture recovery."""
+"""The hider LP as a plain matrix game, searcher-mixture recovery, and the
+floored LP the Kelley oracle keeps as its reference."""
 
 import numpy as np
 import pytest
 
 from boxsearch.errors import DualInconsistent, Infeasible, NumericalFailure
 from boxsearch.lp import LpSolution, recover_searcher_mixture, solve_hider_lp
+from kelley_oracle import floored_lp
 
 
 def matrix(rows) -> np.ndarray:
@@ -13,38 +15,31 @@ def matrix(rows) -> np.ndarray:
 
 class TestSolveHiderLp:
     def test_symmetric_two_by_two(self):
-        sol = solve_hider_lp(matrix([[3, 4], [4, 3]]), np.array([0.05, 0.05]))
+        sol = solve_hider_lp(matrix([[3, 4], [4, 3]]))
         np.testing.assert_allclose(sol.p.p, (0.5, 0.5), atol=1e-12)
         assert sol.v == pytest.approx(3.5, rel=1e-12)
-        assert sol.binding == (False, False)
 
-    def test_single_column_floors_bind(self):
-        sol = solve_hider_lp(matrix([[3], [4]]), np.array([0.05, 0.05]))
-        np.testing.assert_allclose(sol.p.p, (0.05, 0.95), atol=1e-12)
-        assert sol.v == pytest.approx(3.95, rel=1e-12)
-        assert sol.binding == (True, False)
+    def test_single_column(self):
+        # the hider hides where the one sequence takes longest
+        sol = solve_hider_lp(matrix([[3], [4]]))
+        np.testing.assert_allclose(sol.p.p, (0.0, 1.0), atol=1e-12)
+        assert sol.v == pytest.approx(4.0, rel=1e-12)
 
     def test_constant_matrix(self):
-        delta = np.array([0.05, 0.05])
-        sol = solve_hider_lp(matrix([[2, 2], [2, 2]]), delta)
+        sol = solve_hider_lp(matrix([[2, 2], [2, 2]]))
         assert sol.v == pytest.approx(2.0, rel=1e-12)
-        assert all(pi >= 0.05 - 1e-12 for pi in sol.p.p)
-        rerun = solve_hider_lp(matrix([[2, 2], [2, 2]]), delta)
+        rerun = solve_hider_lp(matrix([[2, 2], [2, 2]]))
         assert rerun.p.p == sol.p.p  # bit-stable
-
-    def test_infeasible_floors(self):
-        with pytest.raises(Infeasible):
-            solve_hider_lp(matrix([[3], [4]]), np.array([0.6, 0.6]))
 
     def test_unusable_shape_rejected(self):
         with pytest.raises(Infeasible):
-            solve_hider_lp(np.array([3.0, 4.0]), np.zeros(2))
+            solve_hider_lp(np.array([3.0, 4.0]))
         with pytest.raises(Infeasible):
-            solve_hider_lp(np.empty((2, 0)), np.zeros(2))
+            solve_hider_lp(np.empty((2, 0)))
 
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(NumericalFailure):
-            solve_hider_lp(np.array([[1.0, -2.0], [3.0, 4.0]]), np.zeros(2))
+            solve_hider_lp(np.array([[1.0, -2.0], [3.0, 4.0]]))
 
     def test_value_is_worst_column(self):
         rng = np.random.default_rng(61)
@@ -52,13 +47,9 @@ class TestSolveHiderLp:
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, 12))
             u = rng.uniform(1.0, 50.0, size=(n, m))
-            delta = rng.uniform(0.0, 0.8 / n, size=n)
-            sol = solve_hider_lp(u, delta)
+            sol = solve_hider_lp(u)
             col_vals = np.asarray(sol.p.p) @ u
             assert sol.v == pytest.approx(col_vals.min(), rel=1e-9)
-            assert all(
-                pi >= di - 1e-12 for pi, di in zip(sol.p.p, delta)
-            )
 
     def test_strong_duality_residual(self):
         rng = np.random.default_rng(62)
@@ -66,20 +57,16 @@ class TestSolveHiderLp:
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, 12))
             u = rng.uniform(1.0, 50.0, size=(n, m))
-            delta = rng.uniform(0.0, 0.8 / n, size=n)
-            sol = solve_hider_lp(u, delta)
-            s = 1.0 - delta.sum()
-            shifted = s * u + delta @ u
-            primal = (np.asarray(sol.p.p - delta) / s @ shifted).min()
-            dual = (shifted @ sol.theta).max()
+            sol = solve_hider_lp(u)
+            primal = (np.asarray(sol.p.p) @ u).min()
+            dual = (u @ sol.theta).max()
             assert abs(primal - dual) <= 1e-9 * max(1.0, abs(sol.v))
 
     def test_scale_equivariance(self):
         u = np.array([[3.0, 7.0, 4.0], [6.0, 2.0, 5.0]])
-        delta = np.array([0.1, 0.2])
-        base = solve_hider_lp(u, delta)
+        base = solve_hider_lp(u)
         for s in (0.25, 4.0, 1000.0):
-            scaled = solve_hider_lp(s * u, delta)
+            scaled = solve_hider_lp(s * u)
             assert scaled.v == pytest.approx(s * base.v, rel=1e-12)
             np.testing.assert_allclose(scaled.p.p, base.p.p, atol=1e-12)
 
@@ -87,21 +74,19 @@ class TestSolveHiderLp:
         rng = np.random.default_rng(63)
         for _ in range(20):
             n = int(rng.integers(2, 5))
-            delta = rng.uniform(0.0, 0.5 / n, size=n)
             cols = [rng.uniform(1.0, 30.0, size=n)]
-            prev = solve_hider_lp(np.column_stack(cols), delta).v
+            prev = solve_hider_lp(np.column_stack(cols)).v
             for _ in range(6):
                 cols.append(rng.uniform(1.0, 30.0, size=n))
-                v = solve_hider_lp(np.column_stack(cols), delta).v
+                v = solve_hider_lp(np.column_stack(cols)).v
                 assert v <= prev * (1 + 1e-12)
                 prev = v
 
     def test_determinism(self):
         rng = np.random.default_rng(64)
         u = rng.uniform(1.0, 20.0, size=(4, 9))
-        delta = np.full(4, 0.05)
-        a = solve_hider_lp(u, delta)
-        b = solve_hider_lp(u, delta)
+        a = solve_hider_lp(u)
+        b = solve_hider_lp(u)
         assert a.p.p == b.p.p
         assert a.v == b.v
         assert np.array_equal(a.theta, b.theta)
@@ -110,22 +95,20 @@ class TestSolveHiderLp:
 class TestRecoverSearcherMixture:
     def test_symmetric_mixture(self):
         U = matrix([[3, 4], [4, 3]])
-        delta = np.array([0.05, 0.05])
-        sol = solve_hider_lp(U, delta)
+        sol = solve_hider_lp(U)
         theta = recover_searcher_mixture(U, sol)
         np.testing.assert_allclose(theta, (0.5, 0.5), atol=1e-12)
 
     def test_dominated_column_unused(self):
         # column 1 pays strictly more in every row: useless to the searcher
         U = matrix([[3, 5], [4, 6]])
-        sol = solve_hider_lp(U, np.zeros(2))
+        sol = solve_hider_lp(U)
         theta = recover_searcher_mixture(U, sol)
         assert theta[1] == 0.0
 
     def test_single_column(self):
         U = matrix([[3], [4]])
-        delta = np.array([0.05, 0.05])
-        sol = solve_hider_lp(U, delta)
+        sol = solve_hider_lp(U)
         theta = recover_searcher_mixture(U, sol)
         np.testing.assert_allclose(theta, (1.0,), atol=1e-15)
 
@@ -135,26 +118,51 @@ class TestRecoverSearcherMixture:
             n = int(rng.integers(2, 5))
             m = int(rng.integers(n, 15))
             u = rng.uniform(1.0, 40.0, size=(n, m))
-            delta = np.full(n, 0.02)
-            sol = solve_hider_lp(u, delta)
+            sol = solve_hider_lp(u)
             theta = recover_searcher_mixture(u, sol)
             assert int(np.count_nonzero(theta)) <= n
 
     def test_equalization_without_binding(self):
-        # no binding floor: the mixture pays exactly v against every box
+        # no bound p_i >= 0 binds: the mixture pays exactly v against
+        # every box
         U = matrix([[3, 4], [4, 3]])
-        delta = np.array([0.05, 0.05])
-        sol = solve_hider_lp(U, delta)
+        sol = solve_hider_lp(U)
         rows = U @ sol.theta
         assert np.all(np.abs(rows - sol.v) <= 1e-9 * sol.v)
 
     def test_tampered_solution_rejected(self):
         U = matrix([[3, 4], [4, 3]])
-        delta = np.array([0.05, 0.05])
-        sol = solve_hider_lp(U, delta)
-        bad = LpSolution(
-            p=sol.p, v=sol.v, binding=sol.binding,
-            theta=np.array([1.0, 0.0]),
-        )
+        sol = solve_hider_lp(U)
+        bad = LpSolution(p=sol.p, v=sol.v, theta=np.array([1.0, 0.0]))
         with pytest.raises(DualInconsistent):
             recover_searcher_mixture(U, bad)
+
+
+class TestFlooredLp:
+    """The floored LP p >= delta of the Kelley oracle."""
+
+    def test_single_column_floors_bind(self):
+        sol = floored_lp(matrix([[3], [4]]), np.array([0.05, 0.05]))
+        np.testing.assert_allclose(sol.p.p, (0.05, 0.95), atol=1e-12)
+        assert sol.v == pytest.approx(3.95, rel=1e-12)
+        assert sol.binding
+
+    def test_no_floor_binds_on_symmetric_game(self):
+        sol = floored_lp(matrix([[3, 4], [4, 3]]), np.array([0.05, 0.05]))
+        np.testing.assert_allclose(sol.p.p, (0.5, 0.5), atol=1e-12)
+        assert sol.v == pytest.approx(3.5, rel=1e-12)
+        assert not sol.binding
+
+    def test_value_is_worst_column(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, 12))
+            u = rng.uniform(1.0, 50.0, size=(n, m))
+            delta = rng.uniform(0.0, 0.8 / n, size=n)
+            sol = floored_lp(u, delta)
+            col_vals = np.asarray(sol.p.p) @ u
+            assert sol.v == pytest.approx(col_vals.min(), rel=1e-9)
+            assert all(
+                pi >= di - 1e-12 for pi, di in zip(sol.p.p, delta)
+            )

@@ -64,6 +64,12 @@ class TestValidateGame:
         with pytest.raises(ProbabilityOutOfRange):
             validate_game({"t": [1], "alpha": [1.2]})
 
+    def test_alpha_rounding_one_minus_to_one(self):
+        # 1 - 1e-17 == 1.0: the box's index would never decay
+        with pytest.raises(ProbabilityOutOfRange):
+            validate_game({"t": [1, 1], "alpha": [1e-17, 0.5]})
+        validate_game({"t": [1, 1], "alpha": [1e-15, 0.5]})
+
     def test_perfect_detection_needs_flag(self):
         with pytest.raises(ProbabilityOutOfRange):
             validate_game({"t": [1, 1], "alpha": [0.5, 1.0]})

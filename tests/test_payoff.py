@@ -265,14 +265,6 @@ class TestExpectedAndMixed:
         br = expected_payoff(game, HidingStrategy((1.0, 0.0)), seq)
         assert br.midpoint == pytest.approx(2.0, rel=1e-10)
 
-    def test_zero_mass_box_needs_no_series_depth(self):
-        # 1 - alpha_0 rounds to 1, so box 0 has no finite series depth;
-        # with p_0 = 0 it is never evaluated
-        game = SearchGame(t=(1.0, 1.0), alpha=(1e-17, 0.5))
-        p = HidingStrategy((0.0, 1.0))
-        br = expected_payoff(game, p, gittins_sequence(game, p))
-        assert br.lower == 2.0 and br.upper <= 2.0 * (1.0 + 1e-10)
-
     def test_positive_mass_on_unsearched_box_raises(self):
         game = identical()
         seq = from_pattern(game, (0,))

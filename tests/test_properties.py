@@ -57,9 +57,7 @@ def positive_matrices(draw):
                  min_size=m, max_size=m),
         min_size=n, max_size=n,
     ))
-    frac = draw(st.floats(0.0, 0.7))
-    delta = np.full(n, frac / n)
-    return np.asarray(rows), delta
+    return np.asarray(rows)
 
 
 @given(games())
@@ -93,11 +91,10 @@ def test_bracket_tightens_with_depth(pair, depth):
 
 @given(positive_matrices())
 @settings(max_examples=60, deadline=None)
-def test_lp_feasibility_and_value(args):
-    u, delta = args
-    sol = solve_hider_lp(u, delta)
+def test_lp_feasibility_and_value(u):
+    sol = solve_hider_lp(u)
     assert abs(math.fsum(sol.p.p) - 1.0) <= 1e-12
-    assert all(pi >= di - 1e-12 for pi, di in zip(sol.p.p, delta))
+    assert all(pi >= 0.0 for pi in sol.p.p)
     col_vals = np.asarray(sol.p.p) @ u
     assert sol.v > 0
     assert abs(sol.v - col_vals.min()) <= 1e-9 * max(1.0, sol.v)
@@ -105,9 +102,8 @@ def test_lp_feasibility_and_value(args):
 
 @given(positive_matrices())
 @settings(max_examples=60, deadline=None)
-def test_lp_mixture_consistency(args):
-    u, delta = args
-    sol = solve_hider_lp(u, delta)
+def test_lp_mixture_consistency(u):
+    sol = solve_hider_lp(u)
     theta = recover_searcher_mixture(u, sol)
     assert abs(float(theta.sum()) - 1.0) <= 1e-9
     assert int(np.count_nonzero(theta)) <= u.shape[0]
@@ -115,10 +111,9 @@ def test_lp_mixture_consistency(args):
 
 @given(positive_matrices(), st.floats(0.01, 100.0))
 @settings(max_examples=40, deadline=None)
-def test_lp_scale_equivariance(args, scale):
-    u, delta = args
-    base = solve_hider_lp(u, delta)
-    scaled = solve_hider_lp(scale * u, delta)
+def test_lp_scale_equivariance(u, scale):
+    base = solve_hider_lp(u)
+    scaled = solve_hider_lp(scale * u)
     assert abs(scaled.v - scale * base.v) <= 1e-9 * scale * base.v
     np.testing.assert_allclose(scaled.p.p, base.p.p, atol=1e-9)
 
@@ -127,12 +122,11 @@ def test_lp_scale_equivariance(args, scale):
     st.floats(0.5, 60.0), min_size=2, max_size=5,
 ))
 @settings(max_examples=40, deadline=None)
-def test_lp_column_append_never_raises_value(args, extra):
-    u, delta = args
+def test_lp_column_append_never_raises_value(u, extra):
     n = u.shape[0]
     col = np.resize(np.asarray(extra), n)
-    before = solve_hider_lp(u, delta).v
-    after = solve_hider_lp(np.column_stack([u, col]), delta).v
+    before = solve_hider_lp(u).v
+    after = solve_hider_lp(np.column_stack([u, col])).v
     assert after <= before * (1 + 1e-12)
 
 

@@ -255,8 +255,7 @@ class TestSolveInvariants:
             for rec in sol.trace:
                 if rec.added_sequence is not None:
                     k = rec.added_sequence
-                    lp = solve_hider_lp(np.column_stack(columns[:k]),
-                                        np.zeros(game.n))
+                    lp = solve_hider_lp(np.column_stack(columns[:k]))
                     assert lp.p.as_array() @ columns[k] < lp.v
             # a mispriced first query lifts L by at least LAMBDA (U - L), so
             # an iteration that ends with no new column still makes progress
