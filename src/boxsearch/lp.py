@@ -5,9 +5,17 @@ v <= sum_i p_i u[i][k] for every stored column k and p on the simplex,
 i.e. the hider's side of the matrix game u with rows as boxes and the
 stored search sequences as columns. Since all entries are positive, the
 game solves by one primal simplex pass on the column player's scaled form
-(maximize 1'y subject to u y <= 1, y >= 0): the slack basis is
-immediately feasible, the row strategy p falls out of the dual prices,
-and a vertex solution mixes at most n columns.
+(maximize 1'y subject to u y <= 1, y >= 0), the row strategy p falls out
+of the dual prices, and a vertex solution mixes at most n columns.
+
+The cutting-plane loop appends one column per iteration, and appending a
+column keeps the previous optimal basis primal feasible. So a solve may
+start from the basis of the previous solution (warm start): the tableau
+is rebuilt from the original matrix as B^-1 [u | I | 1], a few pivots
+restore optimality, and no tableau, hence no rounding drift, is carried
+between calls. A cold start is the same pass from the slack basis B = I,
+which is always feasible; a start basis that is singular or infeasible
+falls back to it.
 
 Instances are tiny (n+1 effective variables, tens to hundreds of
 columns), so a hand-rolled tableau keeps the solve deterministic:
@@ -18,6 +26,7 @@ fallback when the pivot budget is hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,35 +35,84 @@ from .model import HidingStrategy
 
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+# a start basis whose B^-1 1 has an entry below -_FEAS_TOL * max(1, max
+# entry) is infeasible; entries above that are rounding and read as 0
+_FEAS_TOL = 1e-9
 DUAL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """Optimal hider strategy p, game value v, and the searcher's dual
-    weights theta over columns."""
+    weights theta over columns.
+
+    basis lists the optimal basic variables, column k < m of u as k and
+    the slack of row j as m + j; passed back as a warm start it is
+    renumbered for the appended columns. pivots counts the simplex pivots
+    of the pass that found this vertex.
+    """
 
     p: HidingStrategy
     v: float
     theta: np.ndarray
+    basis: tuple[int, ...]
+    pivots: int
 
 
-def _simplex_game(A: np.ndarray, bland: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the positive matrix game A (rows maximize).
+class _Vertex(NamedTuple):
+    w: np.ndarray
+    theta: np.ndarray
+    value: float
+    basis: tuple[int, ...]
+    pivots: int
 
-    Returns (w, theta, value): optimal row strategy, column strategy, and
-    game value, from one tableau solve of max 1'y s.t. Ay <= 1, y >= 0.
-    """
+
+def _start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
+    """The tableau of max 1'y s.t. Ay <= 1, y >= 0 at the given basis, or
+    None when that basis is singular or primal infeasible."""
     n, m = A.shape
     T = np.zeros((n + 1, m + n + 1))
     T[0, :m] = -1.0
     T[1:, :m] = A
     T[1:, m : m + n] = np.eye(n)
     T[1:, -1] = 1.0
-    basis = list(range(m, m + n))
+    cols = list(basis)
+    if cols == list(range(m, m + n)):
+        # B = I: the tableau is already at the slack basis, and feasible
+        return T
+    if len(set(cols)) != n or min(cols) < 0 or max(cols) >= m + n:
+        return None
+    try:
+        T[1:] = np.linalg.solve(T[1:, cols], T[1:])
+    except np.linalg.LinAlgError:
+        return None
+    T[0] -= T[0, cols] @ T[1:]
+    rhs = T[1:, -1]
+    if not np.all(np.isfinite(T)) or rhs.min() < -_FEAS_TOL * max(1.0, rhs.max()):
+        return None
+    # basic columns exactly as the pivots keep them: unit vectors with
+    # zero reduced cost, so no rounding noise reaches the dual prices
+    T[1:, cols] = np.eye(n)
+    T[0, cols] = 0.0
+    np.maximum(rhs, 0.0, out=rhs)
+    return T
+
+
+def _simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
+    """Solve the positive matrix game A (rows maximize), starting from a
+    basis of max 1'y s.t. Ay <= 1, y >= 0.
+
+    The optimal row strategy w comes from the dual prices, the column
+    strategy theta from the primal y, and the game value is 1 / 1'y.
+    """
+    n, m = A.shape
+    T = _start_tableau(A, basis)
+    if T is None:
+        raise NumericalFailure("start basis is singular or infeasible")
+    basis = list(basis)
 
     max_pivots = 200 + 60 * (m + n)
-    for _ in range(max_pivots):
+    for pivots in range(max_pivots):
         row0 = T[0, : m + n]
         if bland:
             candidates = np.nonzero(row0 < -_ENTER_TOL)[0]
@@ -100,33 +158,49 @@ def _simplex_game(A: np.ndarray, bland: bool) -> tuple[np.ndarray, np.ndarray, f
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
     w = pi / total
-    return w, theta, value
+    return _Vertex(w, theta, value, tuple(basis), pivots)
 
 
-def _solve_game(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    try:
-        return _simplex_game(A, bland=False)
-    except NumericalFailure:
-        return _simplex_game(A, bland=True)
+def _solve_game(A: np.ndarray, start: Sequence[int] | None) -> _Vertex:
+    """Solve from start by Dantzig's rule; if start is None or unusable, or
+    that pass fails, solve cold from the slack basis by Dantzig's rule,
+    then Bland's."""
+    n, m = A.shape
+    slack = range(m, m + n)
+    passes = [(slack, False), (slack, True)]
+    if start is not None:
+        passes.insert(0, (start, False))
+    for basis, bland in passes[:-1]:
+        try:
+            return _simplex_game(A, basis, bland)
+        except NumericalFailure:
+            pass
+    return _simplex_game(A, *passes[-1])
 
 
-def solve_hider_lp(u: np.ndarray) -> LpSolution:
+def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
     """Maximize v s.t. v <= p.u[:,k] per column, p >= 0, sum p = 1.
 
     u[i][k] is the payoff of box i against stored column k; every entry
-    must be finite and > 0.
+    must be finite and > 0. warm, a solution for the first columns of u,
+    starts the simplex from its optimal basis.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
         raise Infeasible(f"payoff matrix shape {u.shape} unusable")
     if not np.all(np.isfinite(u)) or not np.all(u > 0):
         raise NumericalFailure("payoff entries must be finite and > 0")
-    w, theta, v = _solve_game(u)
+    start = None
+    if warm is not None:
+        # the slacks follow the columns, so they move up by the new ones
+        m = len(warm.theta)
+        start = [k if k < m else k + u.shape[1] - m for k in warm.basis]
+    w, theta, v, basis, pivots = _solve_game(u, start)
     p = HidingStrategy(tuple((w / w.sum()).tolist()))
     # prune dual noise and renormalize; a vertex already mixes <= n columns
     theta = np.where(theta > 1e-12 * max(1.0, theta.max()), theta, 0.0)
     theta = theta / theta.sum()
-    return LpSolution(p=p, v=v, theta=theta)
+    return LpSolution(p=p, v=v, theta=theta, basis=basis, pivots=pivots)
 
 
 def recover_searcher_mixture(u: np.ndarray,

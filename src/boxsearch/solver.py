@@ -194,7 +194,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         # the LP changes only when the last iteration stored a column
         if lp is None or added is not None:
             u = np.column_stack(columns)
-            lp = solve_hider_lp(u)
+            lp = solve_hider_lp(u, warm=lp)
         p_k = lp.p.as_array()
         # the LP sees bracket midpoints; inflating its value by the worst
         # half-width keeps the reported upper bound certified
@@ -315,9 +315,10 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     columns = [alpha * _completion_times(game, o.sigma) + shared
                for o in orderings]
     stored = {o.sigma for o in orderings}
+    lp = None
     while True:
         u = np.column_stack(columns)
-        lp = solve_hider_lp(u)
+        lp = solve_hider_lp(u, warm=lp)
         p = lp.p.as_array()
         sigma = _smith_order(game, p * alpha)
         if sigma in stored:

@@ -35,11 +35,12 @@ def floored_lp(u: np.ndarray, delta: np.ndarray) -> FlooredLp:
     reports whether any floor is active: s*w_i <= 1e-9 * delta_i.
     """
     s = 1.0 - float(delta.sum())
-    w, _, v = _solve_game(s * u + delta @ u)
-    p = delta + s * w
+    # a cold solve: the oracle carries no basis between its LPs
+    vertex = _solve_game(s * u + delta @ u, start=None)
+    p = delta + s * vertex.w
     p = p / p.sum()
-    binding = any(s * wi <= 1e-9 * di for wi, di in zip(w, delta))
-    return FlooredLp(HidingStrategy(tuple(p.tolist())), v, binding)
+    binding = any(s * wi <= 1e-9 * di for wi, di in zip(vertex.w, delta))
+    return FlooredLp(HidingStrategy(tuple(p.tolist())), vertex.value, binding)
 
 
 class KelleyResult(NamedTuple):

@@ -1,11 +1,17 @@
-"""The hider LP as a plain matrix game, searcher-mixture recovery, and the
-floored LP the Kelley oracle keeps as its reference."""
+"""The hider LP as a plain matrix game, its warm start from a previous
+basis, searcher-mixture recovery, and the floored LP the Kelley oracle
+keeps as its reference."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import boxsearch.solver
+from boxsearch import SCHEMES, SolveConfig, sample_game, solve
 from boxsearch.errors import DualInconsistent, Infeasible, NumericalFailure
-from boxsearch.lp import LpSolution, recover_searcher_mixture, solve_hider_lp
+from boxsearch.lp import DUAL_REL_TOL, recover_searcher_mixture, solve_hider_lp
+from boxsearch.model import per_game_seed
 from kelley_oracle import floored_lp
 
 
@@ -92,6 +98,97 @@ class TestSolveHiderLp:
         assert np.array_equal(a.theta, b.theta)
 
 
+def solve_lp_calls(game):
+    """The (u, warm) pairs of every LP call in a solve of game."""
+    calls = []
+
+    def recording(u, warm=None):
+        calls.append((u, warm))
+        return solve_hider_lp(u, warm=warm)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxsearch.solver, "solve_hider_lp", recording)
+        solve(game, SolveConfig(epsilon=1e-6))
+    return calls
+
+
+def highs_value(u: np.ndarray) -> float:
+    """The game value from HiGHS's dual simplex on max 1'y s.t. u y <= 1."""
+    from scipy.optimize import linprog
+
+    res = linprog(-np.ones(u.shape[1]), A_ub=u, b_ub=np.ones(u.shape[0]),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return -1.0 / res.fun
+
+
+class TestWarmStart:
+    """Each solve restarts the simplex from the previous optimal basis."""
+
+    @pytest.fixture(scope="class")
+    def replays(self):
+        # the LP calls of three n = 8 solves, each warm started from the last
+        games = [sample_game(SCHEMES["varied"], 8, per_game_seed(3, i))
+                 for i in range(3)]
+        return [solve_lp_calls(game) for game in games]
+
+    def test_warm_matches_cold(self, replays):
+        for calls in replays:
+            assert all(warm is not None for _, warm in calls[1:])
+            for u, warm in calls:
+                hot = solve_hider_lp(u, warm=warm)
+                cold = solve_hider_lp(u)
+                assert abs(hot.v - cold.v) <= DUAL_REL_TOL * max(1.0, cold.v)
+                recover_searcher_mixture(u, hot)
+                # a box whose slack is basic has a zero dual price, exactly
+                m = u.shape[1]
+                assert all(hot.p.p[k - m] == 0.0 for k in hot.basis if k >= m)
+
+    def test_warm_matches_highs(self, replays):
+        pytest.importorskip("scipy")
+        for calls in replays:
+            for u, warm in calls:
+                hot = solve_hider_lp(u, warm=warm)
+                ref = highs_value(u)
+                assert abs(hot.v - ref) <= 1e-9 * ref
+
+    def test_warm_start_saves_pivots(self, replays):
+        warm = [solve_hider_lp(u, warm=w).pivots
+                for calls in replays for u, w in calls[1:]]
+        cold = [solve_hider_lp(u).pivots
+                for calls in replays for u, _ in calls[1:]]
+        assert np.mean(warm) <= 4
+        assert np.mean(cold) >= 20
+
+    def test_appended_columns_renumber_slacks(self):
+        u = matrix([[3, 5], [4, 2]])
+        first = solve_hider_lp(u[:, :1])
+        # row 0's slack is basic, numbered after the one column
+        assert first.basis == (1, 0)
+        # appending column 1 moves that slack to 2; one pivot from there
+        hot = solve_hider_lp(u, warm=first)
+        cold = solve_hider_lp(u)
+        assert hot.v == pytest.approx(cold.v, rel=1e-12)
+        np.testing.assert_allclose(hot.p.p, (0.5, 0.5), atol=1e-12)
+        assert (hot.pivots, cold.pivots) == (1, 2)
+
+    @pytest.mark.parametrize("rows, start", [
+        # columns 0 and 1 are equal, so the basis {0, 1} is singular
+        ([[3, 3, 4], [4, 4, 3]], (0, 1)),
+        # basis {column 0, slack 1}: y_0 = 1, and slack 1 = 1 - 4 < 0
+        ([[1, 4], [4, 1]], (0, 3)),
+    ], ids=["singular", "infeasible"])
+    def test_unusable_start_falls_back_to_cold(self, rows, start):
+        u = matrix(rows)
+        cold = solve_hider_lp(u)
+        hot = solve_hider_lp(u, warm=replace(cold, basis=start))
+        assert hot.p.p == cold.p.p
+        assert (hot.v, hot.basis, hot.pivots) == (cold.v, cold.basis, cold.pivots)
+        assert np.array_equal(hot.theta, cold.theta)
+
+
 class TestRecoverSearcherMixture:
     def test_symmetric_mixture(self):
         U = matrix([[3, 4], [4, 3]])
@@ -133,7 +230,7 @@ class TestRecoverSearcherMixture:
     def test_tampered_solution_rejected(self):
         U = matrix([[3, 4], [4, 3]])
         sol = solve_hider_lp(U)
-        bad = LpSolution(p=sol.p, v=sol.v, theta=np.array([1.0, 0.0]))
+        bad = replace(sol, theta=np.array([1.0, 0.0]))
         with pytest.raises(DualInconsistent):
             recover_searcher_mixture(U, bad)
 

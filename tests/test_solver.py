@@ -199,13 +199,25 @@ class TestSolve:
         # the last response is new but cuts nothing, and L no longer rises:
         # the next iteration would replay this one, so the solve stalls
         # instead of running to max_iterations
-        game = sample_game(SCHEMES["varied"], 3, per_game_seed(91, 17))
+        game = sample_game(SCHEMES["varied"], 3, per_game_seed(91, 5))
         sol = solve(game, SolveConfig(epsilon=1e-13))
         assert sol.termination is Termination.STALLED
         assert sol.iterations < 100
         before, final = sol.trace[-2:]
         assert final.added_sequence is None
         assert final.lower == before.lower
+        assert final.gap < 1e-10
+
+    def test_repeated_column_reports_stall(self):
+        # L still rises, but the last response's column is already stored,
+        # so the LP cannot change: the solve stalls on the repeated column
+        game = sample_game(SCHEMES["varied"], 3, per_game_seed(91, 1))
+        sol = solve(game, SolveConfig(epsilon=1e-13))
+        assert sol.termination is Termination.STALLED
+        assert sol.iterations < 100
+        before, final = sol.trace[-2:]
+        assert final.added_sequence is None
+        assert final.lower > before.lower
         assert final.gap < 1e-10
 
     def test_epsilon_must_be_finite_and_positive(self):
