@@ -47,7 +47,8 @@ class BaseOutOfRange(InvalidGameError):
 
 
 class CapExceeded(InvalidGameError):
-    """Requested n! enumeration above the ordering cap."""
+    """A game or request beyond a stated cap: the n! enumeration above
+    the ordering cap, or a payoff series deeper than the depth cap."""
 
 
 class InsufficientPrefix(BoxSearchError):

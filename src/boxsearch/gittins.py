@@ -36,6 +36,7 @@ payoff evaluations never regenerate prefixes.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +69,8 @@ _RESCALE = 2.0 ** 600
 # bounds on the searches per box in one block's index streams
 _MIN_WIDTH = 4
 _MAX_WIDTH = 1 << 14
+
+_NO_VISITS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -248,58 +251,77 @@ class _GittinsDriver:
         grid = np.empty((n, width + 1))
         grid[:, 0] = self.idx
         grid[:, 1:] = self.q[:, None]
-        streams = np.cumprod(grid, axis=1)
+        streams = grid.cumprod(axis=1, out=grid)
+        # the block ends before the first index at most some stream's last
+        # entry (past it that box's next index is unknown), before the
+        # first below _RESCALE_BELOW (the one-step rule rescales), and
+        # after the last search the request takes. Only the entries above
+        # those cuts are merged: they are the head of the merge of all.
+        floor = streams[:, -1].max()
+        low = _RESCALE_BELOW
+        if need is not None:
+            low = max(low, self._request_last(streams, need))
+        values = streams.ravel()
+        flat = np.flatnonzero(values >= low if low > floor else values > floor)
         # descending by index; stable on the box-major layout, so equal
         # indices go to the lower box
-        keys = -streams.ravel()
-        order = np.argsort(keys, kind="stable")
+        keys = -values[flat]
+        order = keys.argsort(kind="stable")
         keys = keys[order]
-        boxes = order // (width + 1)
-        # past a stream's last entry that box's next index is unknown, and
-        # below _RESCALE_BELOW the one-step rule rescales
-        stop = int(min(
-            np.searchsorted(keys, -streams[:, -1].max(), side="left"),
-            np.searchsorted(keys, -_RESCALE_BELOW, side="right"),
-        ))
+        # a request's merge ends with its last search, or with indices
+        # equal to it: ties, which end the block anyway
+        stop = len(keys) if steps is None else min(len(keys), steps)
+        boxes = flat[order[:stop]] // (width + 1)
+        counts = np.bincount(boxes, minlength=n)
+        upcoming = streams[np.arange(n), counts].tolist()
         # while one box runs in the merge, the largest index of any other
         # box is the entry after the run; the cut of each emitted index
         # only falls along the run, so a run holds a tie only if its last
-        # search ties with that entry, and its ties end the run
+        # search ties with that entry, and its ties end the run. On the
+        # negated keys, index v's cut v - v * tol is key k's k - k * tol.
         ends = np.flatnonzero(boxes[1:] != boxes[:-1])
-        ends = ends[:np.searchsorted(ends, stop) + 1]
-        last = -keys[ends]
-        tied = ends[-keys[ends + 1] >= last - last * self.tol]
+        tails = keys[ends]
+        tied = np.flatnonzero(keys[ends + 1] <= tails - tails * self.tol)
         if len(tied):
-            first = end = int(tied[0])
+            end = int(ends[tied[0]])
             head = -keys[end + 1]
-            while first > 0 and boxes[first - 1] == boxes[end]:
-                v = -keys[first - 1]
-                if head < v - v * self.tol:
-                    break
-                first -= 1
-            stop = min(stop, first)
-        if steps is not None:
-            stop = min(stop, steps)
         else:
-            stop = min(stop, _request_end(streams, keys, need))
-        block = boxes[:stop]
-        self.idx = streams[np.arange(n), np.bincount(block, minlength=n)].tolist()
+            # the last run's next entry lies past the block: the largest
+            # next index of the other boxes
+            end = stop - 1
+            head = max((v for i, v in enumerate(upcoming) if i != boxes[end]),
+                       default=-math.inf)
+        first = end + 1
+        while first > 0 and boxes[first - 1] == boxes[end]:
+            v = -keys[first - 1]
+            if head < v - v * self.tol:
+                break
+            first -= 1
+        if first <= end:
+            stop = first
+            boxes = boxes[:stop]
+            upcoming = streams[
+                np.arange(n), np.bincount(boxes, minlength=n)
+            ].tolist()
+        self.idx = upcoming
         self.pos += stop
-        return block
+        return boxes
 
-
-def _request_end(streams: np.ndarray, keys: np.ndarray,
-                 need: np.ndarray) -> int:
-    """How many searches of a merge (keys: its negated indices, sorted) a
-    request for need[i] more searches of each box i takes: up to the last
-    search it needs that its box can still get (a stream ending in zeros
-    has no more). Equal indices of two boxes are a tie, where a block
-    stops anyway, so a search's place is the first of its index."""
-    short = np.flatnonzero((need > 0) & (streams[:, 0] > 0.0))
-    count = np.minimum(need[short], streams.shape[1])
-    if not streams[short, -1].all():
-        count = np.minimum(count, np.count_nonzero(streams[short], axis=1))
-    return int(np.searchsorted(keys, -streams[short, count - 1]).max()) + 1
+    def _request_last(self, streams: np.ndarray, need: np.ndarray) -> float:
+        """The smallest index among the last searches that a request for
+        need[i] more searches of each box i takes from these streams (a
+        merge from the current indices): each box's last search it needs
+        that the box can still get (a stream ending in zeros has no
+        more)."""
+        size = streams.shape[1]
+        last = math.inf
+        for i, (k, v) in enumerate(zip(need.tolist(), self.idx)):
+            if k > 0 and v > 0.0:
+                v = streams.item(i, min(k, size) - 1)
+                if v == 0.0:
+                    v = streams.item(i, np.count_nonzero(streams[i]) - 1)
+                last = min(last, v)
+        return last
 
 
 class SearchSequence:
@@ -307,6 +329,8 @@ class SearchSequence:
 
     boxes holds the realized prefix; visit time tau_i(r) (completion time
     of the r-th search of box i, r >= 1) is available once realized.
+    Each box's visit times live in a float64 buffer that grows by
+    doubling; a box's first block of visits becomes its buffer as it is.
     Completed prefixes are append-only, so values handed out never change.
     A sequence extends from its Gittins driver while it has one; once its
     cycle is known it repeats the pattern instead, and without either it
@@ -314,8 +338,8 @@ class SearchSequence:
     """
 
     __slots__ = (
-        "game", "_boxes", "_visits", "_elapsed", "_driver", "cycle",
-        "degenerate_support", "_payoff_cache",
+        "game", "_boxes", "_visits", "_counts", "_elapsed", "_driver",
+        "cycle", "degenerate_support", "_payoff_cache",
     )
 
     def __init__(self, game: SearchGame, driver: _GittinsDriver | None = None,
@@ -323,7 +347,9 @@ class SearchSequence:
                  degenerate_support: bool = False):
         self.game = game
         self._boxes: list[int] = []
-        self._visits: list[list[float]] = [[] for _ in range(game.n)]
+        # box i's visit times are _visits[i][:_counts[i]]
+        self._visits: list[np.ndarray] = [_NO_VISITS] * game.n
+        self._counts: list[int] = [0] * game.n
         self._elapsed = 0.0
         self._driver = driver
         self.cycle = cycle
@@ -332,10 +358,22 @@ class SearchSequence:
         for b in boxes:
             self._append(b)
 
+    def _reserve(self, b: int, k: int) -> np.ndarray:
+        """Box b's buffer, grown if needed to hold k more visit times."""
+        buf = self._visits[b]
+        count = self._counts[b]
+        if count + k > len(buf):
+            grown = np.empty(max(count + k, 2 * len(buf)))
+            grown[:count] = buf[:count]
+            self._visits[b] = buf = grown
+        return buf
+
     def _append(self, b: int) -> None:
         self._boxes.append(b)
         self._elapsed += self.game.t[b]
-        self._visits[b].append(self._elapsed)
+        count = self._counts[b]
+        self._reserve(b, 1)[count] = self._elapsed
+        self._counts[b] = count + 1
 
     def _append_all(self, boxes: np.ndarray) -> None:
         """Append a block of searches; one cumsum from the elapsed time
@@ -348,12 +386,18 @@ class SearchSequence:
         times = np.cumsum(times)[1:]
         self._elapsed = float(times[-1])
         self._boxes.extend(boxes.tolist())
-        by_box = np.argsort(boxes, kind="stable")
-        grouped = times[by_box].tolist()
+        grouped = times[np.argsort(boxes, kind="stable")]
         start = 0
-        for b, count in enumerate(np.bincount(boxes).tolist()):
-            self._visits[b].extend(grouped[start:start + count])
-            start += count
+        for b, k in enumerate(np.bincount(boxes).tolist()):
+            if not k:
+                continue
+            count = self._counts[b]
+            if count:
+                self._reserve(b, k)[count:count + k] = grouped[start:start + k]
+            else:
+                self._visits[b] = grouped[start:start + k]
+            self._counts[b] = count + k
+            start += k
 
     def _extend_once(self) -> None:
         if self._driver is not None:
@@ -384,7 +428,7 @@ class SearchSequence:
         return tuple(self._boxes[:length])
 
     def num_visits(self, i: int) -> int:
-        return len(self._visits[i])
+        return self._counts[i]
 
     @property
     def tied(self) -> bool:
@@ -406,38 +450,41 @@ class SearchSequence:
         for all of them, realizing the searches up to the last one needed
         that its box can still get. Raises InsufficientPrefix when a box
         can never get its count."""
-        if np.ndim(i) == 0:
-            if len(self._visits[i]) >= count:
+        if isinstance(i, (int, np.integer)):
+            if self._counts[i] >= count:
                 return
             boxes, counts = (i,), (count,)
         else:
             boxes, counts = i, count
         need = [0] * self.game.n
         for b, c in zip(boxes, counts):
-            need[b] = max(need[b], c - len(self._visits[b]))
+            need[b] = max(need[b], c - self._counts[b])
         if not any(need):
             return
         if self._driver is not None:
             self._append_all(self._driver.take(None, np.array(need)))
         else:
             for b, c in zip(boxes, counts):
-                while len(self._visits[b]) < c and self.can_visit_more(b):
+                while self._counts[b] < c and self.can_visit_more(b):
                     self._extend_once()
         for b, c in zip(boxes, counts):
-            if len(self._visits[b]) < c:
+            if self._counts[b] < c:
                 raise InsufficientPrefix(
-                    f"box {b} reaches only {len(self._visits[b])} visits; "
+                    f"box {b} reaches only {self._counts[b]} visits; "
                     f"{c} requested"
                 )
 
-    def visit_times(self, i: int) -> list[float]:
-        """Realized completion times of searches of box i (read-only use)."""
-        return self._visits[i]
+    def visit_times(self, i: int) -> np.ndarray:
+        """Realized completion times of searches of box i, as a read-only
+        float64 view."""
+        view = self._visits[i][:self._counts[i]]
+        view.flags.writeable = False
+        return view
 
     def visit_time(self, i: int, r: int) -> float:
         """tau_i(r): completion time of the r-th search of box i (r >= 1)."""
         self.ensure_visits(i, r)
-        return self._visits[i][r - 1]
+        return float(self._visits[i][r - 1])
 
     def to_jsonable(self, length: int | None = None) -> dict:
         """Serialize as a 1-based box list, plus the cycle when detected."""

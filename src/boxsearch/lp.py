@@ -183,17 +183,19 @@ def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
 
     u[i][k] is the payoff of box i against stored column k; every entry
     must be finite and > 0. warm, a solution for the first columns of u,
-    starts the simplex from its optimal basis.
+    starts the simplex from its optimal basis; those columns were checked
+    when it was solved, so only the columns after them are checked here.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
         raise Infeasible(f"payoff matrix shape {u.shape} unusable")
-    if not np.all(np.isfinite(u)) or not np.all(u > 0):
+    m = 0 if warm is None else len(warm.theta)
+    new = u[:, m:]
+    if not np.all(np.isfinite(new)) or not np.all(new > 0):
         raise NumericalFailure("payoff entries must be finite and > 0")
     start = None
     if warm is not None:
         # the slacks follow the columns, so they move up by the new ones
-        m = len(warm.theta)
         start = [k if k < m else k + u.shape[1] - m for k in warm.basis]
     w, theta, v, basis, pivots = _solve_game(u, start)
     p = HidingStrategy(tuple((w / w.sum()).tolist()))

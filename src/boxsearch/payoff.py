@@ -9,7 +9,8 @@ Truncating the sum after R terms gives a lower bound. An upper bound
 follows from a worst-case continuation: under any Gittins sequence no more
 than l_hat time passes between successive visits of a box, so the tail is
 at most l_hat (1-alpha_i)^{R+1} / alpha_i. payoff_truncated() gives the
-bracket for a fixed R.
+bracket for a fixed R, from a slice of the sequence's visit times and
+the powers (1-alpha_i)^r, which are kept per game.
 
 payoff() is the one evaluator every caller uses. Once a sequence has a
 cycle (x_i visits of box i repeating forever), the tail is a geometric
@@ -34,7 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxNeverSearched, InvalidMixture, NoCycleDetected
+from .errors import (
+    BoxNeverSearched,
+    CapExceeded,
+    InvalidMixture,
+    NoCycleDetected,
+)
 from .gittins import SearchSequence, from_pattern
 from .model import HidingStrategy, SearchGame, Seed
 
@@ -42,6 +48,10 @@ from .model import HidingStrategy, SearchGame, Seed
 # these brackets and can never be tighter, so keep this well below any
 # solver epsilon
 PAYOFF_REL_TOL = 1e-10
+
+# the deepest first series depth a payoff may need: each visit it asks
+# for is realized and stored, so a game needing more is refused
+DEPTH_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -125,14 +135,46 @@ def _first_depths(game: SearchGame) -> list[int]:
     """The series depth R that payoff() tries first for each box: the
     first R with tail <= PAYOFF_REL_TOL * t_i, which suffices since t_i <=
     tau_i(1) <= lower. 0 for a perfect box, whose payoff is its first
-    visit time."""
+    visit time. Raises CapExceeded when some box's depth is above
+    DEPTH_CAP."""
     l_hat = tail_params(game).l_hat
-    return [
+    depths = [
         0 if a == 1.0 else max(1, math.ceil(
             math.log(PAYOFF_REL_TOL * t * a / l_hat) / math.log(1.0 - a)
         ))
         for t, a in zip(game.t, game.alpha)
     ]
+    for i, depth in enumerate(depths):
+        if depth > DEPTH_CAP:
+            raise CapExceeded(
+                f"box {i} needs a series depth of {depth} searches, above "
+                f"the depth cap {DEPTH_CAP} (alpha_{i} = {game.alpha[i]})"
+            )
+    return depths
+
+
+@_once_per_game
+def _q_tables(game: SearchGame) -> list[np.ndarray]:
+    """Per box i, the powers (1-alpha_i)^r for r = 1, 2, ..., as far as
+    _q_powers has been asked for them."""
+    return [np.empty(0)] * game.n
+
+
+def _q_powers(game: SearchGame, i: int, R: int) -> np.ndarray:
+    """(1-alpha_i)^r for r = 1..R. A table too short is recomputed whole,
+    so every prefix holds exactly the floats of a fresh cumprod."""
+    tables = _q_tables(game)
+    if len(tables[i]) < R:
+        tables[i] = np.cumprod(np.full(R, 1.0 - game.alpha[i]))
+    return tables[i][:R]
+
+
+def release_powers(game: SearchGame) -> None:
+    """Drop the powers tables kept on game; the next series call rebuilds
+    them. A solve or p0 test releases them when it returns, so a game
+    kept alive past its solve, say in a pool of inputs, does not keep R
+    floats per box."""
+    game._derived.pop(_q_tables.__wrapped__, None)
 
 
 def payoff_truncated(
@@ -145,11 +187,11 @@ def payoff_truncated(
     """
     a = game.alpha[i]
     xi.ensure_visits(i, R + 1)
-    tau = np.asarray(xi.visit_times(i)[: R + 1])
+    tau = xi.visit_times(i)[: R + 1]
     lower = float(tau[0])
     if R > 0:
-        q_pows = np.cumprod(np.full(R, 1.0 - a))
-        lower += float(q_pows @ np.diff(tau))
+        q_pows = _q_powers(game, i, R)
+        lower += float(q_pows @ (tau[1:] - tau[:-1]))
         tail_factor = float(q_pows[-1]) * (1.0 - a)
     else:
         tail_factor = 1.0 - a
@@ -183,8 +225,7 @@ def _payoff_uncached(game, i, xi):
         v = payoff_cyclic(game, i, xi)
         return PayoffBracket(v, v, 0)
     if game.alpha[i] == 1.0:
-        xi.ensure_visits(i, 1)
-        tau1 = xi.visit_times(i)[0]
+        tau1 = xi.visit_time(i, 1)
         return PayoffBracket(tau1, tau1, 0)
     R = _first_depths(game)[i]
     while True:
@@ -231,7 +272,7 @@ def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
     x_i = xi.cycle.pattern.count(i)
     R = xi.cycle.entry[i]
     xi.ensure_visits(i, R + x_i + 1)
-    tau = xi.visit_times(i)
+    tau = xi.visit_times(i).tolist()
     u_R = 0.0
     qr = 1.0
     for r in range(1, R + 1):
@@ -326,7 +367,7 @@ def mc_estimate(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draws = rng.geometric(game.alpha[i], size=trials)
     xi.ensure_visits(i, int(draws.max()))
-    times = np.asarray(xi.visit_times(i))[draws - 1]
+    times = xi.visit_times(i)[draws - 1]
     mean = float(times.mean())
     if trials < 2:
         return mean, 0.0

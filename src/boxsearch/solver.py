@@ -46,7 +46,13 @@ from .gittins import (
 )
 from .lp import LpSolution, recover_searcher_mixture, solve_hider_lp
 from .model import HidingStrategy, SearchGame, p0
-from .payoff import PayoffBracket, expected_payoff, mixed_payoff, payoffs
+from .payoff import (
+    PayoffBracket,
+    expected_payoff,
+    mixed_payoff,
+    payoffs,
+    release_powers,
+)
 
 P0_OPT_REL_THRESHOLD = 1e-9
 # column generation in the p0 test stops when the best ordering pays at
@@ -126,6 +132,14 @@ class P0TestResult:
     sequences_used: int
 
 
+def _store_column(mat: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
+    """mat with values as its column k, doubled in width when it is full."""
+    if k == mat.shape[1]:
+        mat = np.concatenate([mat, np.empty_like(mat)], axis=1)
+    mat[:, k] = values
+    return mat
+
+
 def _column_values(game: SearchGame,
                    seq: SearchSequence) -> tuple[np.ndarray, float]:
     """Midpoint payoffs u(i, seq) for all boxes and their worst bracket
@@ -174,13 +188,15 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     bracket."""
     cfg = config or SolveConfig()
     sequences = _p0_counters(game, initial_orderings(game.n))
-    columns = []
+    # column k holds the payoffs of sequences[k]; the LP reads a view
+    mat = np.empty((game.n, 2 * game.n))
+    stored = set()
     worst_half = 0.0
-    for seq in sequences:
+    for k, seq in enumerate(sequences):
         values, half = _column_values(game, seq)
-        columns.append(values)
+        mat[:, k] = values
+        stored.add(values.tobytes())
         worst_half = max(worst_half, half)
-    stored = {values.tobytes() for values in columns}
 
     # the stability center: the best lower-bound point queried so far
     p_best = p0(game)
@@ -193,7 +209,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     for k in range(1, cfg.max_iterations + 1):
         # the LP changes only when the last iteration stored a column
         if lp is None or added is not None:
-            u = np.column_stack(columns)
+            u = mat[:, :len(sequences)]
             lp = solve_hider_lp(u, warm=lp)
         p_k = lp.p.as_array()
         # the LP sees bracket midpoints; inflating its value by the worst
@@ -222,7 +238,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
                 stored.add(key)
                 added = len(sequences)
                 sequences.append(response)
-                columns.append(values)
+                mat = _store_column(mat, added, values)
                 worst_half = max(worst_half, half)
                 break
             # mispriced: the response does not cut (p_k, v_k); u(query) still
@@ -253,6 +269,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         termination = Termination.STALLED
     else:
         termination = Termination.MAX_ITERATIONS
+    release_powers(game)
     return Solution(
         p_star=p_best,
         theta=tuple(theta_full),
@@ -312,12 +329,13 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     shared = values - alpha * _completion_times(game, reference.prefix(game.n))
 
     orderings = initial_orderings(game.n)
-    columns = [alpha * _completion_times(game, o.sigma) + shared
-               for o in orderings]
+    mat = np.empty((game.n, 2 * game.n))
+    for k, o in enumerate(orderings):
+        mat[:, k] = alpha * _completion_times(game, o.sigma) + shared
     stored = {o.sigma for o in orderings}
     lp = None
     while True:
-        u = np.column_stack(columns)
+        u = mat[:, :len(orderings)]
         lp = solve_hider_lp(u, warm=lp)
         p = lp.p.as_array()
         sigma = _smith_order(game, p * alpha)
@@ -326,11 +344,12 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
         column = alpha * _completion_times(game, sigma) + shared
         if p @ column >= lp.v * (1.0 - _PRICE_REL_TOL):
             break
+        mat = _store_column(mat, len(orderings), column)
         orderings.append(TieOrdering(sigma))
         stored.add(sigma)
-        columns.append(column)
     sequences = [reference] + _p0_counters(game, orderings[1:])
-    return _p0_result(u, lp, sequences, expected_payoff(game, start, reference))
+    return _p0_result(game, u, lp, sequences,
+                      expected_payoff(game, start, reference))
 
 
 def _p0_test_exhaustive(game: SearchGame) -> P0TestResult:
@@ -343,13 +362,15 @@ def _p0_test_exhaustive(game: SearchGame) -> P0TestResult:
     lp = solve_hider_lp(u)
     start = p0(game)
     best_col = int(np.argmin(start.as_array() @ u))
-    return _p0_result(u, lp, sequences,
+    return _p0_result(game, u, lp, sequences,
                       expected_payoff(game, start, sequences[best_col]))
 
 
-def _p0_result(u: np.ndarray, lp: LpSolution, sequences: list[SearchSequence],
+def _p0_result(game: SearchGame, u: np.ndarray, lp: LpSolution,
+               sequences: list[SearchSequence],
                u_p0: PayoffBracket) -> P0TestResult:
     """p0 is optimal iff u(p0) matches the finite game's value v_D."""
+    release_powers(game)
     theta = recover_searcher_mixture(u, lp)
     return P0TestResult(
         optimal=abs(u_p0.midpoint - lp.v) / lp.v < P0_OPT_REL_THRESHOLD,

@@ -240,7 +240,7 @@ def _replay(game, p, order, requests):
         assert len(seq) == len(oracle), (kind, boxes, counts)
         assert seq.tied == oracle.tied, (kind, boxes, counts)
     assert list(seq.prefix(len(seq))) == oracle.boxes
-    assert [seq.visit_times(i) for i in range(game.n)] == oracle.visits
+    assert [seq.visit_times(i).tolist() for i in range(game.n)] == oracle.visits
     return oracle
 
 

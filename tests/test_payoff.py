@@ -26,17 +26,25 @@ from boxsearch import (
     payoff_truncated,
     round_robin_payoff,
     sample_game,
+    solve,
     tail_params,
 )
 from boxsearch.bounds import hider_floor
 from boxsearch.errors import (
     BoxNeverSearched,
+    CapExceeded,
     InsufficientPrefix,
     InvalidMixture,
     NoCycleDetected,
 )
 from boxsearch.gittins import TieOrdering, from_boxes, from_pattern
-from boxsearch.payoff import round_robin_sequence
+from boxsearch.payoff import (
+    DEPTH_CAP,
+    _first_depths,
+    _q_tables,
+    round_robin_sequence,
+)
+from boxsearch.solver import test_p0_optimality as p0_optimality
 
 
 def identical() -> SearchGame:
@@ -136,6 +144,69 @@ class TestPayoffTruncated:
                 uppers.append(up)
             assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
             assert all(a >= b - 1e-15 for a, b in zip(uppers, uppers[1:]))
+
+
+class TestFirstDepths:
+    def test_small_alphas_within_the_cap(self):
+        for a, low, high in ((1e-4, 4.1e5, 4.3e5), (1e-5, 4.6e6, 4.7e6)):
+            depth = _first_depths(SearchGame(t=(1.0, 1.0), alpha=(a, 0.5)))[0]
+            assert low < depth < high < DEPTH_CAP
+
+    def test_unreachable_depth_refused(self):
+        # 5.1e7 searches of box 0 before its first bracket: refused before
+        # any search is realized
+        game = SearchGame(t=(1.0, 1.0), alpha=(1e-6, 0.5))
+        with pytest.raises(CapExceeded,
+                           match="box 0 needs a series depth of 50983481 "):
+            _first_depths(game)
+
+
+class TestBitIdentity:
+    """Visit times realized in blocks equal adding the search times one at
+    a time, and the series over memoized powers equals the inline form
+    np.cumprod(np.full(R, 1 - a)) @ np.diff(tau), bit for bit."""
+
+    @staticmethod
+    def counters():
+        rng = np.random.default_rng(93)
+        for n in (2, 3, 5, 8):
+            game = sample_game(SCHEMES["varied"], n, rng)
+            raw = rng.uniform(0.1, 1.0, size=n)
+            p = HidingStrategy(tuple((raw / raw.sum()).tolist()))
+            yield game, gittins_sequence(game, p)
+            sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
+            yield game, gittins_sequence(game, p0(game), sigma)
+
+    def test_visit_times_and_series(self):
+        for game, seq in self.counters():
+            n, depths = game.n, _first_depths(game)
+            # the requests payoffs() and payoff() make, then a length
+            seq.ensure_visits(list(range(n)), [d + 1 for d in depths])
+            for i in range(n):
+                seq.ensure_visits(i, 2 * depths[i] + 1)
+            seq.ensure_length(len(seq) + 37)
+            replay = from_boxes(game, seq.prefix(len(seq)))
+            l_hat = tail_params(game).l_hat
+            for i in range(n):
+                times = seq.visit_times(i)
+                assert times.dtype == np.float64 and not times.flags.writeable
+                assert times.tolist() == replay.visit_times(i).tolist()
+                a = game.alpha[i]
+                # short after long: a prefix of the grown powers table
+                for R in (7, 2 * depths[i], 1, depths[i]):
+                    tau = np.asarray(times.tolist()[:R + 1])
+                    q_pows = np.cumprod(np.full(R, 1.0 - a))
+                    lower = float(tau[0]) + float(q_pows @ np.diff(tau))
+                    upper = lower + l_hat * (float(q_pows[-1]) * (1.0 - a)) / a
+                    assert payoff_truncated(game, i, seq, R) == (lower, upper)
+
+    def test_solve_and_p0_test_release_the_powers(self):
+        game = sample_game(SCHEMES["varied"], 4, 95)
+        payoff(game, 0, gittins_sequence(game, p0(game)))
+        assert _q_tables(game)[0].size > 0
+        for run in (solve, p0_optimality):
+            run(game)
+            assert not any(table.size for table in _q_tables(game))
 
 
 class TestPayoff:
