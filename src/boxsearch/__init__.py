@@ -6,13 +6,11 @@ sequences exactly, computes certified brackets on the game value, and
 produces epsilon-optimal mixed strategies for both players.
 """
 
-from .bounds import HiderFloor, hider_floor, value_bounds
 from .errors import BoxSearchError
 from .gittins import (
     SearchSequence,
     TieOrdering,
     all_orderings,
-    gittins_index,
     gittins_sequence,
     initial_orderings,
 )
@@ -29,13 +27,13 @@ from .model import (
     p0,
     sample_game,
     validate_game,
+    value_bounds,
 )
 from .payoff import (
     INFINITE_PAYOFF,
     PayoffBracket,
     TailBoundParams,
     expected_payoff,
-    mc_estimate,
     mixed_payoff,
     payoff,
     payoff_cyclic,
@@ -49,7 +47,6 @@ from .solver import (
     SolveConfig,
     Solution,
     Termination,
-    best_response_value,
     solve,
     test_p0_optimality,
 )

@@ -52,27 +52,15 @@ class CapExceeded(InvalidGameError):
 
 
 class InsufficientPrefix(BoxSearchError):
-    """Sequence prefix too short (and not extendable) for the request."""
+    """A request for more visits of a box than the sequence ever makes."""
 
 
 class BoxNeverSearched(BoxSearchError):
     """Payoff requested for a box the sequence provably never visits."""
 
 
-class PerfectDetectionUnsupported(InvalidGameError):
-    """Operation undefined when some alpha_i = 1."""
-
-
 class NumericalError(BoxSearchError):
     """Base class for numerical breakdowns."""
-
-
-class DegenerateFloors(NumericalError):
-    """Defensive check: probability floors sum to >= 1."""
-
-
-class FloorUnderflow(NumericalError):
-    """A hider-probability floor underflowed double precision."""
 
 
 class NoCycleDetected(NumericalError):

@@ -113,11 +113,6 @@ def all_orderings(n: int) -> list[TieOrdering]:
     return [TieOrdering(perm) for perm in itertools.permutations(range(n))]
 
 
-def gittins_index(p_i: float, alpha_i: float, t_i: float, m_i: int) -> float:
-    """Index of a box holding probability p_i after m_i failed searches."""
-    return p_i * (1.0 - alpha_i) ** m_i * alpha_i / t_i
-
-
 @dataclass(frozen=True)
 class CycleInfo:
     """A sequence's periodic tail: entry[i] = searches of box i before
@@ -333,8 +328,7 @@ class SearchSequence:
     doubling; a box's first block of visits becomes its buffer as it is.
     Completed prefixes are append-only, so values handed out never change.
     A sequence extends from its Gittins driver while it has one; once its
-    cycle is known it repeats the pattern instead, and without either it
-    is finite.
+    cycle is known it repeats the pattern instead.
     """
 
     __slots__ = (
@@ -343,7 +337,7 @@ class SearchSequence:
     )
 
     def __init__(self, game: SearchGame, driver: _GittinsDriver | None = None,
-                 boxes: tuple[int, ...] = (), cycle: CycleInfo | None = None,
+                 cycle: CycleInfo | None = None,
                  degenerate_support: bool = False):
         self.game = game
         self._boxes: list[int] = []
@@ -355,8 +349,6 @@ class SearchSequence:
         self.cycle = cycle
         self.degenerate_support = degenerate_support
         self._payoff_cache: dict = {}
-        for b in boxes:
-            self._append(b)
 
     def _reserve(self, b: int, k: int) -> np.ndarray:
         """Box b's buffer, grown if needed to hold k more visit times."""
@@ -402,14 +394,10 @@ class SearchSequence:
     def _extend_once(self) -> None:
         if self._driver is not None:
             self._append(self._driver.step())
-        elif self.cycle is not None:
+        else:
             pattern = self.cycle.pattern
             past_entry = len(self._boxes) - sum(self.cycle.entry)
             self._append(pattern[past_entry % len(pattern)])
-        else:
-            raise InsufficientPrefix(
-                f"sequence of length {len(self._boxes)} is not extendable"
-            )
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -441,7 +429,7 @@ class SearchSequence:
         """Whether further extension can ever add another visit of box i."""
         if self._driver is not None:
             return self._driver.can_visit(i)
-        return self.cycle is not None and i in self.cycle.pattern
+        return i in self.cycle.pattern
 
     def ensure_visits(self, i: int | Sequence[int],
                       count: int | Sequence[int]) -> None:
@@ -512,11 +500,6 @@ def from_pattern(game: SearchGame,
     )
 
 
-def from_boxes(game: SearchGame, boxes) -> SearchSequence:
-    """Finite, non-extendable sequence (requests past its end fail)."""
-    return SearchSequence(game, driver=None, boxes=tuple(boxes))
-
-
 def gittins_sequence(
     game: SearchGame, p: HidingStrategy, order: TieOrdering | None = None,
 ) -> SearchSequence:
@@ -534,10 +517,13 @@ def gittins_sequence(
     from the first search; against any other full-support p the cycle is
     the first window of x_hat searches visiting each box i exactly x_i
     times. Boxes with p_i = 0 are never searched; the sequence is then
-    flagged degenerate_support and has no cycle.
+    flagged degenerate_support and has no cycle. A one-box game has one
+    sequence, the pattern (0,).
     """
     if p.n != game.n:
         raise InvalidHidingStrategy("strategy length differs from box count")
+    if game.n == 1:
+        return from_pattern(game, (0,))
     exact = order is None
     if exact:
         order = TieOrdering.identity(game.n)
@@ -559,30 +545,6 @@ def gittins_sequence(
         if seq.cycle is not None:
             seq._driver = None  # the pattern drives the tail from here
     return seq
-
-
-def replay_check(game: SearchGame, p: HidingStrategy, seq: SearchSequence,
-                 rel_tol: float = TIE_REL_TOL, length: int | None = None) -> bool:
-    """Verify each realized choice attains the maximal index within rel_tol.
-
-    Recomputes every index from scratch per step, independently of the
-    incremental generator.
-    """
-    if length is None:
-        length = len(seq)
-    boxes = seq.prefix(length)
-    m = [0] * game.n
-    for step in range(length):
-        b = boxes[step]
-        vals = [
-            gittins_index(p.p[i], game.alpha[i], game.t[i], m[i])
-            for i in range(game.n)
-        ]
-        best = max(vals)
-        if vals[b] < best - best * rel_tol:
-            return False
-        m[b] += 1
-    return True
 
 
 def _integer_rule_pattern(game: SearchGame, order: TieOrdering) -> tuple[int, ...]:

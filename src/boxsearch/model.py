@@ -115,9 +115,9 @@ class SearchGame:
 
     @functools.cached_property
     def _derived(self) -> dict:
-        """Quantities other modules derive from the game once and keep on
-        it, keyed by the function deriving them. Not a field, so outside
-        eq, hash and repr."""
+        """Quantities derived from the game once and kept on it, keyed by
+        the function deriving them (see _once_per_game). Not a field, so
+        outside eq, hash and repr."""
         return {}
 
     def has_perfect_box(self) -> bool:
@@ -130,6 +130,20 @@ class SearchGame:
         if self.allow_perfect:
             out["allow_perfect"] = True
         return out
+
+
+def _once_per_game(derive):
+    """Memoize derive(game) on the game: kept on the game, the value dies
+    with it."""
+
+    @functools.wraps(derive)
+    def memoized(game: SearchGame):
+        derived = game._derived
+        if derive not in derived:
+            derived[derive] = derive(game)
+        return derived[derive]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -230,16 +244,28 @@ def load_game(path: str | Path) -> SearchGame:
         return validate_game(json.load(fh))
 
 
+@_once_per_game
 def p0(game: SearchGame) -> HidingStrategy:
     """Hiding strategy proportional to t_i/alpha_i.
 
     Equalizes all n initial Gittins indices, so the searcher starts with
     no preference between boxes. Optimal for identical boxes and often a
-    strong heuristic otherwise.
+    strong heuristic otherwise. Computed once per game.
     """
     w = [ti / ai for ti, ai in zip(game.t, game.alpha)]
     total = math.fsum(w)
     return HidingStrategy(tuple(wi / total for wi in w))
+
+
+def value_bounds(game: SearchGame) -> tuple[float, float]:
+    """(max_i t_i/alpha_i, sum_i t_i/alpha_i): certified bracket on v*.
+
+    The hider secures the first by always hiding in the box maximizing
+    t_i/alpha_i; the second is the value when the hider may relocate after
+    every search, which a hider that stays put cannot exceed.
+    """
+    w = [ti / ai for ti, ai in zip(game.t, game.alpha)]
+    return max(w), math.fsum(w)
 
 
 def future_benefit(game: SearchGame, i: int) -> float:

@@ -29,7 +29,6 @@ INFINITE_PAYOFF sentinel (never a float inf that could enter a matrix).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +40,8 @@ from .errors import (
     InvalidMixture,
     NoCycleDetected,
 )
-from .gittins import SearchSequence, from_pattern
-from .model import HidingStrategy, SearchGame, Seed
+from .gittins import SearchSequence
+from .model import HidingStrategy, SearchGame, _once_per_game
 
 # relative width of series brackets; certified value bounds are built from
 # these brackets and can never be tighter, so keep this well below any
@@ -93,20 +92,6 @@ class TailBoundParams:
 
     l: int
     l_hat: float
-
-
-def _once_per_game(derive):
-    """Memoize derive(game) on the game: every payoff evaluation asks for
-    it, and kept on the game it dies with the game."""
-
-    @functools.wraps(derive)
-    def memoized(game: SearchGame):
-        derived = game._derived
-        if derive not in derived:
-            derived[derive] = derive(game)
-        return derived[derive]
-
-    return memoized
 
 
 @_once_per_game
@@ -297,10 +282,6 @@ def round_robin_payoff(game: SearchGame, i: int) -> float:
     return math.fsum(game.t[: i + 1]) + (1.0 - a) / a * T
 
 
-def round_robin_sequence(game: SearchGame) -> SearchSequence:
-    return from_pattern(game, tuple(range(game.n)))
-
-
 def expected_payoff(
     game: SearchGame, p: HidingStrategy, xi: SearchSequence,
 ) -> PayoffBracket:
@@ -351,25 +332,3 @@ def mixed_payoff(
         upper.append(w * br.upper)
         used = max(used, br.searches_used)
     return PayoffBracket(math.fsum(lower), math.fsum(upper), used)
-
-
-def mc_estimate(
-    game: SearchGame, i: int, xi: SearchSequence, trials: int, seed: Seed,
-) -> tuple[float, float]:
-    """Monte-Carlo oracle for u(i, xi): simulate per-visit detection.
-
-    Each trial draws the geometric visit number at which box i's search
-    succeeds and reads off its completion time. Returns the sample mean
-    and the 95% confidence half-width (0 by convention for one trial).
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = rng.geometric(game.alpha[i], size=trials)
-    xi.ensure_visits(i, int(draws.max()))
-    times = xi.visit_times(i)[draws - 1]
-    mean = float(times.mean())
-    if trials < 2:
-        return mean, 0.0
-    half = 1.96 * float(times.std(ddof=1)) / math.sqrt(trials)
-    return mean, half

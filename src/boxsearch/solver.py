@@ -159,19 +159,6 @@ def _mixture_certificate(game: SearchGame, theta, sequences) -> float:
     )
 
 
-def best_response_value(
-    game: SearchGame, p: HidingStrategy
-) -> tuple[PayoffBracket, SearchSequence]:
-    """u(p) with a certified bracket, and the Gittins counter achieving it.
-
-    Boxes with p_i = 0 are never searched, so the value then refers to the
-    game restricted to the support (the returned sequence is flagged
-    degenerate_support).
-    """
-    seq = gittins_sequence(game, p)
-    return expected_payoff(game, p, seq), seq
-
-
 def _p0_counters(game: SearchGame,
                  orderings: list[TieOrdering]) -> list[SearchSequence]:
     """The sigma-deterministic Gittins counters to p0, one per ordering.
@@ -200,7 +187,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
 
     # the stability center: the best lower-bound point queried so far
     p_best = p0(game)
-    lower = best_response_value(game, p_best)[0].lower
+    lower = expected_payoff(game, p_best, gittins_sequence(game, p_best)).lower
     trace: list[IterationRecord] = []
     lp: LpSolution | None = None
     u: np.ndarray | None = None
@@ -224,7 +211,8 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
             query = HidingStrategy(tuple((q / q.sum()).tolist()))
             # the exact counter: near the optimum indices tie for real, and
             # a tolerant tie-break could pick a sub-maximal box, overstating L
-            bracket, response = best_response_value(game, query)
+            response = gittins_sequence(game, query)
+            bracket = expected_payoff(game, query, response)
             if bracket.lower > lower:
                 lower, p_best = bracket.lower, query
             if upper / lower - 1.0 < cfg.epsilon:

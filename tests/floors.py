@@ -1,10 +1,9 @@
-"""Value bounds and hider-probability floors.
+"""Hider-probability floors, kept as a test oracle.
 
-The game value v* is sandwiched between max_i t_i/alpha_i (hider reveals
-the best single box) and M = sum_i t_i/alpha_i (the value when the hider
-may relocate after every search). From M follow per-box floors on any
-optimal hiding strategy: with m_i = floor(M/t_i) + 1 searches of box i
-taking more than M time, any p giving box i less than
+The game value v* is at most M = sum_i t_i/alpha_i, the value when the
+hider may relocate after every search. From M follow per-box floors on
+any optimal hiding strategy: with m_i = floor(M/t_i) + 1 searches of box
+i taking more than M time, any p giving box i less than
 
     eta_i = (t_i/alpha_i) / (t_i/alpha_i + c_i),
     c_i   = sum_{j != i} t_j / (alpha_j (1-alpha_j)^{m_j - 1}),
@@ -12,23 +11,32 @@ taking more than M time, any p giving box i less than
 would make some Gittins counter postpone box i past time M, contradicting
 optimality. Shrinking to delta_i = FLOOR_SHRINK * eta_i (0.99) yields a
 truncated simplex whose interior contains every optimal hiding strategy.
-The floors characterize optimal strategies, and the tests hold solved
-strategies to them; the solver's LP does not use them.
+The tests hold solved strategies to these floors, and the Kelley oracle
+solves its LP over the truncated simplex; the solver uses neither.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFloors, FloorUnderflow, PerfectDetectionUnsupported
-from .model import SearchGame
+from boxsearch.errors import InvalidGameError, NumericalError
 
 # factor from the floors eta_i to the LP floors delta_i
 FLOOR_SHRINK = 0.99
 
 # largest exponent magnitude safe for linear-space (1-a)^(m-1)
 _LOG_SPACE_CUTOVER = 650.0
+
+
+class PerfectDetectionUnsupported(InvalidGameError):
+    """The floors are undefined when some alpha_i = 1."""
+
+
+class DegenerateFloors(NumericalError):
+    """Defensive check: probability floors sum to >= 1."""
+
+
+class FloorUnderflow(NumericalError):
+    """A hider-probability floor underflowed double precision."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +55,7 @@ class HiderFloor:
     delta: tuple[float, ...]
 
 
-def value_bounds(game: SearchGame) -> tuple[float, float]:
-    """(max_i t_i/alpha_i, sum_i t_i/alpha_i): certified bracket on v*."""
-    w = [ti / ai for ti, ai in zip(game.t, game.alpha)]
-    return max(w), math.fsum(w)
-
-
-def hider_floor(game: SearchGame) -> HiderFloor:
+def hider_floor(game) -> HiderFloor:
     """Compute m_i, c_i, eta_i and the shrunken floors delta_i.
 
     The c_i terms move to log space when (1-alpha_j)^(m_j-1) would

@@ -7,7 +7,8 @@ ordering, and set `tied` once the forced prefix is over), multiplies the
 chosen box's index by 1 - alpha, and adds the search time to the clock.
 The largest index is rescaled by 2**600 once it falls below 2**-600.
 Block generation must reproduce its boxes, visit times, `tied` flag and
-length after every request exactly.
+length after every request exactly. replay_check is a second, stateless
+reference: it recomputes every index from its closed form.
 """
 
 from boxsearch.errors import InsufficientPrefix, NumericalFailure
@@ -19,8 +20,9 @@ _RESCALE = 2.0 ** 600
 
 
 class OracleSequence:
-    """The Gittins counter to p that gittins_sequence builds on a game
-    without declared cyclic structure, one search at a time."""
+    """The Gittins counter to p that gittins_sequence builds on a game of
+    two or more boxes without declared cyclic structure, one search at a
+    time."""
 
     def __init__(self, game, p, order: TieOrdering | None = None):
         exact = order is None
@@ -78,3 +80,32 @@ class OracleSequence:
         for b, c in zip(boxes, counts):
             if len(self.visits[b]) < c:
                 raise InsufficientPrefix(f"box {b} stays short of {c} visits")
+
+
+def gittins_index(p_i: float, alpha_i: float, t_i: float, m_i: int) -> float:
+    """Index of a box holding probability p_i after m_i failed searches."""
+    return p_i * (1.0 - alpha_i) ** m_i * alpha_i / t_i
+
+
+def replay_check(game, p, seq, rel_tol: float = TIE_REL_TOL,
+                 length: int | None = None) -> bool:
+    """Verify each realized choice attains the maximal index within rel_tol.
+
+    Recomputes every index from scratch per step, independently of the
+    incremental generator.
+    """
+    if length is None:
+        length = len(seq)
+    boxes = seq.prefix(length)
+    m = [0] * game.n
+    for step in range(length):
+        b = boxes[step]
+        vals = [
+            gittins_index(p.p[i], game.alpha[i], game.t[i], m[i])
+            for i in range(game.n)
+        ]
+        best = max(vals)
+        if vals[b] < best - best * rel_tol:
+            return False
+        m[b] += 1
+    return True

@@ -13,11 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from boxsearch import HidingStrategy, hider_floor
+from boxsearch import HidingStrategy
 from boxsearch.gittins import gittins_sequence, initial_orderings
 from boxsearch.lp import _solve_game
 from boxsearch.payoff import expected_payoff
 from boxsearch.solver import _column_values, _p0_counters
+from floors import hider_floor
 
 
 class FlooredLp(NamedTuple):

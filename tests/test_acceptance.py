@@ -18,9 +18,7 @@ from boxsearch import (
     SearchGame,
     SolveConfig,
     gittins_sequence,
-    hider_floor,
     make_cyclic_game,
-    mc_estimate,
     p0,
     payoff,
     payoff_cyclic,
@@ -33,10 +31,12 @@ from boxsearch import (
     summarize,
     value_bounds,
 )
-from boxsearch.gittins import replay_check
 from boxsearch.model import per_game_seed
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.study import two_box_games
+from floors import hider_floor
+from gittins_oracle import replay_check
+from mc_oracle import mc_estimate
 
 _SUITE_START = time.perf_counter()
 
@@ -52,8 +52,7 @@ def test_c1_exact_small_game_values():
     t0 = time.perf_counter()
     sol = solve(game)
     elapsed = time.perf_counter() - t0
-    assert abs(sol.U - 4.0) / 4.0 < 1e-9
-    assert abs(sol.L - 4.0) / 4.0 < 1e-9
+    assert sol.L == sol.U == 4.0
     assert elapsed < 1e-3, f"single-box solve took {elapsed * 1e3:.3f} ms"
 
     # two identical boxes: closed form 3/2 + 2(1-alpha)/alpha by symmetry

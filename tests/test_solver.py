@@ -13,9 +13,8 @@ from boxsearch import (
     Termination,
     TieOrdering,
     all_orderings,
-    best_response_value,
+    expected_payoff,
     gittins_sequence,
-    hider_floor,
     make_cyclic_game,
     p0,
     payoff,
@@ -23,8 +22,6 @@ from boxsearch import (
     solve,
     value_bounds,
 )
-from boxsearch.bounds import FLOOR_SHRINK
-from boxsearch.errors import FloorUnderflow
 from boxsearch.lp import solve_hider_lp
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
@@ -38,6 +35,7 @@ from boxsearch.solver import (
     write_trace,
 )
 from boxsearch.study import _ruckle_game
+from floors import FLOOR_SHRINK, FloorUnderflow, hider_floor
 from kelley_oracle import kelley_solve
 
 
@@ -48,6 +46,13 @@ def identical(alpha=0.5) -> SearchGame:
 def identical_value(alpha: float) -> float:
     # mix of the two alternating counters: 3/2 + 2(1-alpha)/alpha
     return 1.5 + 2.0 * (1.0 - alpha) / alpha
+
+
+def best_response_value(game, p):
+    """u(p) bracketed, and the exact Gittins counter to p attaining it, as
+    solve evaluates them."""
+    seq = gittins_sequence(game, p)
+    return expected_payoff(game, p, seq), seq
 
 
 class TestBestResponseValue:
