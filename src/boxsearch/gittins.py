@@ -147,14 +147,14 @@ class _GittinsDriver:
 
     __slots__ = ("alpha", "q", "idx", "rank", "tol", "forced", "pos", "tied")
 
-    def __init__(self, game: SearchGame, p: HidingStrategy, order: TieOrdering,
+    def __init__(self, game: SearchGame, p: HidingStrategy, rank: list[int],
                  tol: float, forced: tuple[int, ...] | None):
         self.alpha = game.alpha
         self.q = 1.0 - np.asarray(game.alpha)
         self.idx = [
             pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)
         ]
-        self.rank = order.rank()
+        self.rank = rank
         self.tol = tol
         self.forced = forced
         self.pos = 0
@@ -333,7 +333,7 @@ class SearchSequence:
 
     __slots__ = (
         "game", "_boxes", "_visits", "_counts", "_elapsed", "_driver",
-        "cycle", "degenerate_support", "_payoff_cache",
+        "cycle", "degenerate_support", "_column",
     )
 
     def __init__(self, game: SearchGame, driver: _GittinsDriver | None = None,
@@ -348,7 +348,8 @@ class SearchSequence:
         self._driver = driver
         self.cycle = cycle
         self.degenerate_support = degenerate_support
-        self._payoff_cache: dict = {}
+        # the payoff column, memoized by payoff.payoff_column
+        self._column = None
 
     def _reserve(self, b: int, k: int) -> np.ndarray:
         """Box b's buffer, grown if needed to hold k more visit times."""
@@ -374,11 +375,14 @@ class SearchSequence:
             return
         times = np.empty(len(boxes) + 1)
         times[0] = self._elapsed
-        times[1:] = np.asarray(self.game.t)[boxes]
-        times = np.cumsum(times)[1:]
+        np.take(self.game.t, boxes, out=times[1:])
+        times = times.cumsum()[1:]
         self._elapsed = float(times[-1])
         self._boxes.extend(boxes.tolist())
-        grouped = times[np.argsort(boxes, kind="stable")]
+        # grouped by box, in order within each box; a stable sort of the
+        # narrowest unsigned type holding a box index is a radix sort
+        by_box = boxes.astype(np.min_scalar_type(self.game.n - 1))
+        grouped = times[by_box.argsort(kind="stable")]
         start = 0
         for b, k in enumerate(np.bincount(boxes).tolist()):
             if not k:
@@ -469,6 +473,13 @@ class SearchSequence:
         view.flags.writeable = False
         return view
 
+    def visit_prefixes(self, counts: Sequence[int]) -> np.ndarray:
+        """The first counts[i] realized visit times of every box i,
+        concatenated in box order into one new array."""
+        return np.concatenate(
+            [buf[:k] for buf, k in zip(self._visits, counts)]
+        )
+
     def visit_time(self, i: int, r: int) -> float:
         """tau_i(r): completion time of the r-th search of box i (r >= 1)."""
         self.ensure_visits(i, r)
@@ -525,18 +536,18 @@ def gittins_sequence(
     if game.n == 1:
         return from_pattern(game, (0,))
     exact = order is None
-    if exact:
-        order = TieOrdering.identity(game.n)
     at_p0 = all(
         abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, p0(game).p)
     )
     if game.cyclic is not None and at_p0:
+        if exact:
+            order = TieOrdering.identity(game.n)
         return from_pattern(game, _integer_rule_pattern(game, order))
-    driver = _GittinsDriver(
-        game, p, order,
-        tol=0.0 if exact else TIE_REL_TOL,
-        forced=order.sigma if at_p0 and not exact else None,
-    )
+    if exact:
+        driver = _GittinsDriver(game, p, list(range(game.n)), 0.0, None)
+    else:
+        driver = _GittinsDriver(game, p, order.rank(), TIE_REL_TOL,
+                                order.sigma if at_p0 else None)
     seq = SearchSequence(
         game, driver=driver, degenerate_support=not p.full_support
     )

@@ -71,10 +71,13 @@ def _start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
     """The tableau of max 1'y s.t. Ay <= 1, y >= 0 at the given basis, or
     None when that basis is singular or primal infeasible."""
     n, m = A.shape
-    T = np.zeros((n + 1, m + n + 1))
+    width = m + n + 1
+    T = np.zeros((n + 1, width))
     T[0, :m] = -1.0
     T[1:, :m] = A
-    T[1:, m : m + n] = np.eye(n)
+    # the slack block's diagonal, T[1 + k, m + k] for k < n: one strided
+    # run through the flat tableau, which ends past row n by itself
+    T.reshape(-1)[width + m :: width + 1] = 1.0
     T[1:, -1] = 1.0
     cols = list(basis)
     if cols == list(range(m, m + n)):
@@ -88,7 +91,7 @@ def _start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
         return None
     T[0] -= T[0, cols] @ T[1:]
     rhs = T[1:, -1]
-    if not np.all(np.isfinite(T)) or rhs.min() < -_FEAS_TOL * max(1.0, rhs.max()):
+    if not np.isfinite(T).all() or rhs.min() < -_FEAS_TOL * max(1.0, rhs.max()):
         return None
     # basic columns exactly as the pivots keep them: unit vectors with
     # zero reduced cost, so no rounding noise reaches the dual prices
@@ -111,33 +114,36 @@ def _simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
         raise NumericalFailure("start basis is singular or infeasible")
     basis = list(basis)
 
+    row0 = T[0, : m + n]
+    rhs = T[1:, -1]
     max_pivots = 200 + 60 * (m + n)
     for pivots in range(max_pivots):
-        row0 = T[0, : m + n]
         if bland:
-            candidates = np.nonzero(row0 < -_ENTER_TOL)[0]
+            candidates = (row0 < -_ENTER_TOL).nonzero()[0]
             if candidates.size == 0:
                 break
             col = int(candidates[0])
         else:
-            col = int(np.argmin(row0))
+            col = int(row0.argmin())
             if row0[col] >= -_ENTER_TOL:
                 break
         column = T[1:, col]
-        tol = _PIVOT_TOL * max(1.0, float(np.abs(column).max()))
-        rows = np.nonzero(column > tol)[0]
+        tol = _PIVOT_TOL * max(1.0, column.max(), -column.min())
+        rows = (column > tol).nonzero()[0]
         if rows.size == 0:
             raise NumericalFailure("unbounded pivot in a positive game")
-        ratios = T[1 + rows, -1] / column[rows]
+        ratios = rhs[rows] / column[rows]
         best = ratios.min()
         near = rows[ratios <= best + 1e-12 * max(1.0, best)]
-        leave = int(min(near, key=lambda r: basis[r]))
-        piv = T[1 + leave, col]
-        T[1 + leave] /= piv
+        if near.size == 1:
+            leave = int(near[0])
+        else:
+            leave = int(min(near, key=lambda r: basis[r]))
+        T[1 + leave] /= T[1 + leave, col]
         pivot_row = T[1 + leave]
         factors = T[:, col].copy()
         factors[1 + leave] = 0.0
-        T -= np.outer(factors, pivot_row)
+        T -= factors[:, None] * pivot_row
         basis[leave] = col
     else:
         raise NumericalFailure(
@@ -147,13 +153,13 @@ def _simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
     obj = float(T[0, -1])
     if obj <= 0.0:
         raise NumericalFailure("nonpositive game objective")
-    y = np.zeros(m)
-    for r, var in enumerate(basis):
-        if var < m:
-            y[var] = T[1 + r, -1]
-    pi = np.clip(T[0, m : m + n], 0.0, None)
+    # the basic values, in the slots of their variables; the slacks' fall
+    # past column m - 1 and are dropped
+    y = np.zeros(m + n)
+    y[basis] = rhs
+    pi = np.maximum(T[0, m : m + n], 0.0)
     value = 1.0 / obj
-    theta = np.clip(y, 0.0, None) * value
+    theta = np.maximum(y[:m], 0.0) * value
     total = float(pi.sum())
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
@@ -191,7 +197,7 @@ def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
         raise Infeasible(f"payoff matrix shape {u.shape} unusable")
     m = 0 if warm is None else len(warm.theta)
     new = u[:, m:]
-    if not np.all(np.isfinite(new)) or not np.all(new > 0):
+    if not ((new > 0.0) & (new < np.inf)).all():
         raise NumericalFailure("payoff entries must be finite and > 0")
     start = None
     if warm is not None:
@@ -200,8 +206,8 @@ def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
     w, theta, v, basis, pivots = _solve_game(u, start)
     p = HidingStrategy(tuple((w / w.sum()).tolist()))
     # prune dual noise and renormalize; a vertex already mixes <= n columns
-    theta = np.where(theta > 1e-12 * max(1.0, theta.max()), theta, 0.0)
-    theta = theta / theta.sum()
+    theta[theta <= 1e-12 * max(1.0, theta.max())] = 0.0
+    theta /= theta.sum()
     return LpSolution(p=p, v=v, theta=theta, basis=basis, pivots=pivots)
 
 

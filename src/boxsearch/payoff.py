@@ -12,25 +12,30 @@ at most l_hat (1-alpha_i)^{R+1} / alpha_i. payoff_truncated() gives the
 bracket for a fixed R, from a slice of the sequence's visit times and
 the powers (1-alpha_i)^r, which are kept per game.
 
-payoff() is the one evaluator every caller uses. Once a sequence has a
-cycle (x_i visits of box i repeating forever), the tail is a geometric
-sum with ratio (1-alpha_i)^{x_i} and payoff() returns the closed form of
-payoff_cyclic() as a zero-width bracket, exact up to rounding. Otherwise
-it grows R until the series bracket's relative width is below
-PAYOFF_REL_TOL, starting from a depth fixed per game and box. payoffs()
-evaluates several boxes of one sequence, after one request that realizes
-the visits all their starting depths need.
+payoff_column() is the one evaluator every caller uses: it brackets
+u(i, xi) for every box i at once and memoizes the column on the sequence.
+Once a sequence has a cycle (x_i visits of box i repeating forever), the
+tail is a geometric sum with ratio (1-alpha_i)^{x_i} and each box gets
+the closed form of payoff_cyclic() as a zero-width bracket, exact up to
+rounding. Otherwise each box starts from a series depth R_i fixed per
+game, and R is doubled for a box until its bracket's relative width is
+below PAYOFF_REL_TOL. The starting brackets take one array pass: one
+request realizes every box's R_i + 1 visits, their times are gathered
+into one buffer and differenced once, and each box's series is one dot
+of its steps with its powers, the same floats and the same sums as
+payoff_truncated() forms.
 
 Every mixed payoff here is interval arithmetic over per-box brackets, so
 reported values are certified brackets rather than point estimates. A box
-a sequence provably never visits has infinite payoff, represented by the
-INFINITE_PAYOFF sentinel (never a float inf that could enter a matrix).
+a sequence provably never visits has infinite payoff: payoff() returns
+the INFINITE_PAYOFF sentinel for it, and its column entries read inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,12 +159,50 @@ def _q_powers(game: SearchGame, i: int, R: int) -> np.ndarray:
     return tables[i][:R]
 
 
+class _SeriesPlan(NamedTuple):
+    """The array pass over every box's first series bracket. lengths[i]
+    = R_i + 1 visit times of box i are gathered into one buffer, box by
+    box; segments[i] = (powers, start, stop) says that box i's first time
+    sits at start and its series is the dot of powers, (1-alpha_i)^r for
+    r = 1..R_i, with the buffer's steps start..stop. tail[i] is the
+    bracket's width l_hat (1-alpha_i)^(R_i+1) / alpha_i, formed as in
+    payoff_truncated, and depths[i] = R_i."""
+
+    lengths: list[int]
+    starts: np.ndarray
+    segments: list[tuple[np.ndarray, int, int]]
+    tail: np.ndarray
+    depths: tuple[int, ...]
+
+
+@_once_per_game
+def _series_plan(game: SearchGame) -> _SeriesPlan:
+    depths = _first_depths(game)
+    l_hat = tail_params(game).l_hat
+    segments, tail = [], []
+    start = 0
+    for i, (R, a) in enumerate(zip(depths, game.alpha)):
+        q_pows = _q_powers(game, i, R)
+        segments.append((q_pows, start, start + R))
+        tail_factor = (float(q_pows[-1]) if R else 1.0) * (1.0 - a)
+        tail.append(l_hat * tail_factor / a)
+        start += R + 1
+    return _SeriesPlan(
+        lengths=[R + 1 for R in depths],
+        starts=np.array([s for _, s, _ in segments]),
+        segments=segments,
+        tail=np.array(tail),
+        depths=tuple(depths),
+    )
+
+
 def release_powers(game: SearchGame) -> None:
-    """Drop the powers tables kept on game; the next series call rebuilds
-    them. A solve or p0 test releases them when it returns, so a game
-    kept alive past its solve, say in a pool of inputs, does not keep R
-    floats per box."""
+    """Drop the powers tables and the series plan kept on game; the next
+    series call rebuilds them. A solve or p0 test releases them when it
+    returns, so a game kept alive past its solve, say in a pool of
+    inputs, does not keep R floats per box."""
     game._derived.pop(_q_tables.__wrapped__, None)
+    game._derived.pop(_series_plan.__wrapped__, None)
 
 
 def payoff_truncated(
@@ -183,58 +226,107 @@ def payoff_truncated(
     return lower, lower + tail_params(game).l_hat * tail_factor / a
 
 
-def payoff(
-    game: SearchGame, i: int, xi: SearchSequence,
-) -> PayoffBracket | _InfinitePayoff:
-    """Bracket u(i, xi), extending xi on demand.
+class PayoffColumn(NamedTuple):
+    """u(i, xi) for every box i of one sequence: certified brackets
+    lower[i] <= u(i, xi) <= upper[i] as float64 arrays, and the series
+    depth R behind each (0 where the value is exact). A box the sequence
+    never searches reads inf on both sides."""
 
-    Returns INFINITE_PAYOFF when xi provably never searches box i (the
-    p_i = 0 case). On a sequence with a cycle the bracket is the exact
-    closed form (zero width, searches_used 0), as it is for a perfect box;
-    otherwise it is the series bracket to relative width PAYOFF_REL_TOL.
-    Results are memoized on the sequence, keyed by box: extension is
-    append-only so a bracket never goes stale.
+    lower: np.ndarray
+    upper: np.ndarray
+    searches_used: tuple[int, ...]
+
+
+def payoff_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
+    """Bracket u(i, xi) for every box, extending xi on demand.
+
+    On a sequence with a cycle each bracket is the exact closed form (zero
+    width, searches_used 0); otherwise it is the series bracket to
+    relative width PAYOFF_REL_TOL, which for a perfect box is its first
+    visit time at depth 0, exact as well. The column is memoized on the
+    sequence: extension is append-only, so it never goes stale.
     """
-    cached = xi._payoff_cache.get(i)
-    if cached is not None:
-        return cached
-    result = _payoff_uncached(game, i, xi)
-    xi._payoff_cache[i] = result
-    return result
+    column = xi._column
+    if column is None:
+        column = xi._column = _column_uncached(game, xi)
+    return column
 
 
-def _payoff_uncached(game, i, xi):
-    if xi.num_visits(i) == 0 and not xi.can_visit_more(i):
-        return INFINITE_PAYOFF
-    if xi.cycle is not None:
-        v = payoff_cyclic(game, i, xi)
-        return PayoffBracket(v, v, 0)
-    if game.alpha[i] == 1.0:
-        tau1 = xi.visit_time(i, 1)
-        return PayoffBracket(tau1, tau1, 0)
-    R = _first_depths(game)[i]
+def _column_uncached(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
+    """The array pass where it applies, else each box on its own."""
+    if xi.cycle is None and all(
+        xi.num_visits(i) > 0 or xi.can_visit_more(i) for i in range(game.n)
+    ):
+        return _series_column(game, xi)
+    lower, upper, used = zip(
+        *(_box_bracket(game, i, xi) for i in range(game.n))
+    )
+    return PayoffColumn(np.array(lower), np.array(upper), used)
+
+
+def _series_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
+    """The column of a sequence without a cycle that searches every box:
+    one request and one array pass for every box's first bracket, then
+    the doubled depths, box by box, where a bracket is still too wide."""
+    plan = _series_plan(game)
+    xi.ensure_visits(range(game.n), plan.lengths)
+    tau = xi.visit_prefixes(plan.lengths)
+    steps = tau[1:] - tau[:-1]
+    # one dot per box keeps each series summed as payoff_truncated sums it
+    series = [q_pows.dot(steps[start:stop])
+              for q_pows, start, stop in plan.segments]
+    lower = tau[plan.starts] + series
+    upper = lower + plan.tail
+    fits = upper <= lower * (1.0 + PAYOFF_REL_TOL)
+    used = plan.depths
+    if not fits.all():
+        used = list(used)
+        for i in np.flatnonzero(~fits).tolist():
+            lower[i], upper[i], used[i] = _series_bracket(
+                game, i, xi, 2 * used[i]
+            )
+        used = tuple(used)
+    return PayoffColumn(lower, upper, used)
+
+
+def _series_bracket(game: SearchGame, i: int, xi: SearchSequence,
+                    R: int) -> tuple[float, float, int]:
+    """The series bracket of box i from depth R, doubling R until its
+    relative width is below PAYOFF_REL_TOL; the depth comes last."""
     while True:
         lower, upper = payoff_truncated(game, i, xi, R)
         if upper <= lower * (1.0 + PAYOFF_REL_TOL):
-            return PayoffBracket(lower, upper, R)
+            return lower, upper, R
         R *= 2
 
 
-def payoffs(game: SearchGame, xi: SearchSequence,
-            boxes) -> list[PayoffBracket | _InfinitePayoff]:
-    """payoff() for each box in `boxes`, after one request that realizes
-    the visits every series evaluation among them needs first, so that xi
-    extends once for all of them rather than once per box."""
-    if xi.cycle is None:
-        todo = [
-            i for i in boxes
-            if i not in xi._payoff_cache
-            and (xi.num_visits(i) > 0 or xi.can_visit_more(i))
-        ]
-        if todo:
-            depths = _first_depths(game)
-            xi.ensure_visits(todo, [depths[i] + 1 for i in todo])
-    return [payoff(game, i, xi) for i in boxes]
+def _box_bracket(game: SearchGame, i: int,
+                 xi: SearchSequence) -> tuple[float, float, int]:
+    """Box i's bracket on its own: inf for a box xi never searches, the
+    closed form on a cycle, else the series (at depth 0 for a perfect
+    box: its first visit time)."""
+    if xi.num_visits(i) == 0 and not xi.can_visit_more(i):
+        return math.inf, math.inf, 0
+    if xi.cycle is not None:
+        v = payoff_cyclic(game, i, xi)
+        return v, v, 0
+    return _series_bracket(game, i, xi, _first_depths(game)[i])
+
+
+def payoff(
+    game: SearchGame, i: int, xi: SearchSequence,
+) -> PayoffBracket | _InfinitePayoff:
+    """Bracket u(i, xi), extending xi on demand: box i of payoff_column().
+
+    Returns INFINITE_PAYOFF when xi provably never searches box i (the
+    p_i = 0 case).
+    """
+    column = payoff_column(game, xi)
+    lower = float(column.lower[i])
+    if lower == math.inf:
+        return INFINITE_PAYOFF
+    return PayoffBracket(lower, float(column.upper[i]),
+                         column.searches_used[i])
 
 
 def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
@@ -257,7 +349,7 @@ def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
     x_i = xi.cycle.pattern.count(i)
     R = xi.cycle.entry[i]
     xi.ensure_visits(i, R + x_i + 1)
-    tau = xi.visit_times(i).tolist()
+    tau = xi.visit_times(i)[: R + x_i + 1].tolist()
     u_R = 0.0
     qr = 1.0
     for r in range(1, R + 1):
@@ -287,21 +379,22 @@ def expected_payoff(
 ) -> PayoffBracket:
     """u(p, xi) = sum_i p_i u(i, xi) with interval arithmetic.
 
-    Boxes with p_i = 0 contribute nothing, even when their payoff is the
-    infinite sentinel. Each side is summed with fsum.
+    Boxes with p_i = 0 contribute nothing, even when their payoff is
+    infinite. Each side is summed with fsum.
     """
+    lower, upper, used = payoff_column(game, xi)
     support = [i for i, pi in enumerate(p.p) if pi != 0.0]
-    lower, upper = [], []
-    used = 0
-    for i, br in zip(support, payoffs(game, xi, support)):
-        if br.is_infinite:
+    for i in support:
+        if lower[i] == math.inf:
             raise BoxNeverSearched(
                 f"box {i} has p_i = {p.p[i]} > 0 but is never searched"
             )
-        lower.append(p.p[i] * br.lower)
-        upper.append(p.p[i] * br.upper)
-        used = max(used, br.searches_used)
-    return PayoffBracket(math.fsum(lower), math.fsum(upper), used)
+    w = np.array(p.p)[support]
+    return PayoffBracket(
+        math.fsum((w * lower[support]).tolist()),
+        math.fsum((w * upper[support]).tolist()),
+        max(used[i] for i in support),
+    )
 
 
 def mixed_payoff(

@@ -50,7 +50,7 @@ from .payoff import (
     PayoffBracket,
     expected_payoff,
     mixed_payoff,
-    payoffs,
+    payoff_column,
     release_powers,
 )
 
@@ -144,9 +144,8 @@ def _column_values(game: SearchGame,
                    seq: SearchSequence) -> tuple[np.ndarray, float]:
     """Midpoint payoffs u(i, seq) for all boxes and their worst bracket
     half-width (zero on sequences with a cycle, where brackets are exact)."""
-    brackets = payoffs(game, seq, range(game.n))
-    half = max(0.5 * b.width for b in brackets)
-    return np.array([b.midpoint for b in brackets]), half
+    lower, upper, _ = payoff_column(game, seq)
+    return 0.5 * (lower + upper), float((0.5 * (upper - lower)).max())
 
 
 def _mixture_certificate(game: SearchGame, theta, sequences) -> float:
@@ -217,7 +216,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
                 lower, p_best = bracket.lower, query
             if upper / lower - 1.0 < cfg.epsilon:
                 break
-            # the payoffs are memoized on the response by expected_payoff
+            # the payoff column is memoized on the response by expected_payoff
             values, half = _column_values(game, response)
             key = values.tobytes()
             # LP rounding can let a stored column pass the cut test
@@ -310,9 +309,10 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
         return _p0_test_exhaustive(game)
     start = p0(game)
     reference = gittins_sequence(game, start, TieOrdering.identity(game.n))
-    values, _ = _column_values(game, reference)
+    u_p0 = expected_payoff(game, start, reference)
     if reference.tied:
         return _p0_test_exhaustive(game)
+    values, _ = _column_values(game, reference)
     alpha = np.asarray(game.alpha)
     shared = values - alpha * _completion_times(game, reference.prefix(game.n))
 
@@ -336,8 +336,7 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
         orderings.append(TieOrdering(sigma))
         stored.add(sigma)
     sequences = [reference] + _p0_counters(game, orderings[1:])
-    return _p0_result(game, u, lp, sequences,
-                      expected_payoff(game, start, reference))
+    return _p0_result(game, u, lp, sequences, u_p0)
 
 
 def _p0_test_exhaustive(game: SearchGame) -> P0TestResult:

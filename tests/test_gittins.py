@@ -192,7 +192,7 @@ def _random_p(rng, n):
 
 
 def _payoff_requests(game, rng, extra=4):
-    """The requests payoffs() and payoff() make: every box's first series
+    """The requests payoff_column() makes: every box's first series
     depth in one request, then doubled depths one box at a time; then a
     few random single-box and length requests."""
     n = game.n

@@ -10,9 +10,15 @@ import pytest
 import boxsearch.solver
 from boxsearch import SCHEMES, SolveConfig, sample_game, solve
 from boxsearch.errors import DualInconsistent, Infeasible, NumericalFailure
-from boxsearch.lp import DUAL_REL_TOL, recover_searcher_mixture, solve_hider_lp
+from boxsearch.lp import (
+    DUAL_REL_TOL,
+    _simplex_game,
+    recover_searcher_mixture,
+    solve_hider_lp,
+)
 from boxsearch.model import per_game_seed
 from kelley_oracle import floored_lp
+from tableau_oracle import simplex_game
 
 
 def matrix(rows) -> np.ndarray:
@@ -124,6 +130,23 @@ def highs_value(u: np.ndarray) -> float:
     return -1.0 / res.fun
 
 
+def assert_same_vertex(u, basis, bland):
+    """_simplex_game and the tableau oracle return the same vertex, or
+    refuse alike, bit for bit."""
+    found = []
+    for simplex in (_simplex_game, simplex_game):
+        try:
+            found.append(simplex(u, basis, bland))
+        except NumericalFailure as exc:
+            found.append(str(exc))
+    a, b = found
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+    else:
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.theta, b.theta)
+        assert (a.value, a.basis, a.pivots) == (b.value, b.basis, b.pivots)
+
+
 class TestWarmStart:
     """Each solve restarts the simplex from the previous optimal basis."""
 
@@ -153,6 +176,29 @@ class TestWarmStart:
                 hot = solve_hider_lp(u, warm=warm)
                 ref = highs_value(u)
                 assert abs(hot.v - ref) <= 1e-9 * ref
+
+    def test_vertices_match_the_tableau_oracle(self, replays):
+        # every LP of the replays from its warm start, cold, and by Bland's
+        # rule: the same vertex, or the same refusal, bit for bit
+        for calls in replays:
+            for u, warm in calls:
+                n, m = u.shape
+                slack = tuple(range(m, m + n))
+                starts = [(slack, False), (slack, True)]
+                if warm is not None:
+                    old = len(warm.theta)
+                    start = tuple(k if k < old else k + m - old
+                                  for k in warm.basis)
+                    starts += [(start, False), (start, True)]
+                for basis, bland in starts:
+                    assert_same_vertex(u, basis, bland)
+
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_tied_ratio_test_matches_the_tableau_oracle(self, bland):
+        # integer payoffs tie the ratio test, and among the tied rows the
+        # one with the lowest basic variable is not the first row
+        u = matrix([[1, 3, 1], [2, 3, 1], [1, 3, 1]])
+        assert_same_vertex(u, (3, 4, 5), bland)
 
     def test_warm_start_saves_pivots(self, replays):
         warm = [solve_hider_lp(u, warm=w).pivots

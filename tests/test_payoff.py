@@ -6,6 +6,7 @@ bound t/alpha for single boxes, and brute-force partial sums for the
 truncated brackets.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -36,11 +37,23 @@ from boxsearch.errors import (
     NoCycleDetected,
 )
 from boxsearch.gittins import TieOrdering, from_pattern
-from boxsearch.payoff import DEPTH_CAP, _first_depths, _q_tables
+from boxsearch.model import per_game_seed
+from boxsearch.payoff import (
+    DEPTH_CAP,
+    PayoffColumn,
+    _box_bracket,
+    _first_depths,
+    _q_tables,
+    _series_plan,
+    payoff_column,
+)
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from floors import hider_floor
 from gittins_oracle import OracleSequence
 from mc_oracle import mc_estimate
+
+# the package's function payoff shadows the module as an attribute
+payoff_module = importlib.import_module("boxsearch.payoff")
 
 
 def identical() -> SearchGame:
@@ -54,7 +67,7 @@ def alternating(game):
 def perfect_second(game):
     """The exact counter to p = (0.75, 0.25) on t = (1, 1), alpha = (0.5,
     1): indices 0.375 and 0.25 search box 0 first, then box 1 at time 2.
-    It has no cycle, so payoff() takes its perfect-box branch."""
+    It has no cycle, so payoff() takes the series, at depth 0 for box 1."""
     seq = gittins_sequence(game, HidingStrategy((0.75, 0.25)))
     assert seq.prefix(2) == (0, 1) and seq.cycle is None
     return seq
@@ -186,7 +199,7 @@ class TestBitIdentity:
         for game, p, order in self.counters():
             seq = gittins_sequence(game, p, order)
             n, depths = game.n, _first_depths(game)
-            # the requests payoffs() and payoff() make, then a length
+            # the requests payoff_column() makes, then a length
             seq.ensure_visits(list(range(n)), [d + 1 for d in depths])
             for i in range(n):
                 seq.ensure_visits(i, 2 * depths[i] + 1)
@@ -207,13 +220,78 @@ class TestBitIdentity:
                     upper = lower + l_hat * (float(q_pows[-1]) * (1.0 - a)) / a
                     assert payoff_truncated(game, i, seq, R) == (lower, upper)
 
+    def test_array_column_equals_payoff_truncated(self):
+        # the column's one array pass against the per-box evaluation at
+        # each box's first depth
+        for game, p, order in self.counters():
+            seq = gittins_sequence(game, p, order)
+            column = payoff_column(game, seq)
+            depths = _first_depths(game)
+            assert column.searches_used == tuple(depths)
+            for i in range(game.n):
+                assert (column.lower[i], column.upper[i]) == (
+                    payoff_truncated(game, i, seq, depths[i])
+                )
+
+    def test_wide_brackets_double_box_by_box(self, monkeypatch):
+        # first depths fixed at the default tolerance, brackets checked at
+        # a tighter one: every box's bracket is too wide and doubles
+        game = sample_game(SCHEMES["varied"], 4, 97)
+        depths = _first_depths(game)
+        monkeypatch.setattr(payoff_module, "PAYOFF_REL_TOL", 1e-13)
+        seq = gittins_sequence(game, p0(game))
+        column = payoff_column(game, seq)
+        for i in range(game.n):
+            R = 2 * depths[i]
+            lower, upper = payoff_truncated(game, i, seq, R)
+            while not upper <= lower * (1.0 + 1e-13):
+                R *= 2
+                lower, upper = payoff_truncated(game, i, seq, R)
+            assert column.searches_used[i] == R
+            assert (column.lower[i], column.upper[i]) == (lower, upper)
+
+    def test_solve_and_p0_test_match_the_per_box_path(self, monkeypatch):
+        games = [sample_game(SCHEMES["varied"], n, per_game_seed(17, n))
+                 for n in (2, 3, 5, 8)]
+        # a perfect box takes the array pass too, with a depth of 0
+        games.append(SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.3, 1.0, 0.6),
+                                allow_perfect=True))
+
+        def outputs():
+            out = []
+            for game in games:
+                sol = solve(game)
+                res = p0_optimality(game)
+                out.append((
+                    sol.iterations, sol.L, sol.U, sol.theta, sol.p_star,
+                    sol.termination, res.optimal, res.v_D, res.u_p0,
+                    res.theta,
+                ))
+            return out
+
+        def per_box_column(game, xi):
+            lower, upper, used = zip(
+                *(_box_bracket(game, i, xi) for i in range(game.n))
+            )
+            return PayoffColumn(np.array(lower), np.array(upper), used)
+
+        array_path = outputs()
+        monkeypatch.setattr(payoff_module, "_series_column", per_box_column)
+        assert outputs() == array_path
+
     def test_solve_and_p0_test_release_the_powers(self):
         game = sample_game(SCHEMES["varied"], 4, 95)
+
+        def kept():
+            return [d for d in (_q_tables, _series_plan)
+                    if d.__wrapped__ in game._derived]
+
         payoff(game, 0, gittins_sequence(game, p0(game)))
-        assert _q_tables(game)[0].size > 0
+        assert _q_tables(game)[0].size > 0 and _series_plan(game).tail.size
+        assert kept() == [_q_tables, _series_plan]
         for run in (solve, p0_optimality):
             run(game)
-            assert not any(table.size for table in _q_tables(game))
+            assert kept() == []
 
 
 class TestPayoff:
