@@ -8,14 +8,18 @@ game solves by one primal simplex pass on the column player's scaled form
 (maximize 1'y subject to u y <= 1, y >= 0), the row strategy p falls out
 of the dual prices, and a vertex solution mixes at most n columns.
 
-The cutting-plane loop appends one column per iteration, and appending a
-column keeps the previous optimal basis primal feasible. So a solve may
-start from the basis of the previous solution (warm start): the tableau
-is rebuilt from the original matrix as B^-1 [u | I | 1], a few pivots
-restore optimality, and no tableau, hence no rounding drift, is carried
-between calls. A cold start is the same pass from the slack basis B = I,
-which is always feasible; a start basis that is singular or infeasible
-falls back to it.
+The cutting-plane loop appends columns between calls, as in column
+generation, and appending a column keeps the previous optimal basis
+primal feasible. So each solution carries its final tableau, and a warm
+solve extends it instead of refactoring the basis: the slack block of an
+optimal tableau holds B^-1 in its body and the dual prices pi in its
+objective row, so a new column a enters as B^-1 a with reduced cost
+pi.a - 1, and a few pivots restore optimality. Nothing is solved against
+the basis and no feasibility check is needed. The tableau's rounding is
+carried from call to call; the searcher-mixture check against the real
+u (recover_searcher_mixture) bounds what it can do to a solve's result.
+A cold solve starts from the slack basis B = I, which is always feasible,
+and a warm pass that fails falls back to it.
 
 Instances are tiny (n+1 effective variables, tens to hundreds of
 columns), so a hand-rolled tableau keeps the solve deterministic:
@@ -25,8 +29,8 @@ fallback when the pivot budget is hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +39,6 @@ from .model import HidingStrategy
 
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-11
-# a start basis whose B^-1 1 has an entry below -_FEAS_TOL * max(1, max
-# entry) is infeasible; entries above that are rounding and read as 0
-_FEAS_TOL = 1e-9
 DUAL_REL_TOL = 1e-9
 
 
@@ -49,7 +50,8 @@ class LpSolution:
     basis lists the optimal basic variables, column k < m of u as k and
     the slack of row j as m + j; passed back as a warm start it is
     renumbered for the appended columns. pivots counts the simplex pivots
-    of the pass that found this vertex.
+    of the pass that found this vertex. _tableau is the optimal tableau,
+    which a warm start extends by the appended columns.
     """
 
     p: HidingStrategy
@@ -57,6 +59,7 @@ class LpSolution:
     theta: np.ndarray
     basis: tuple[int, ...]
     pivots: int
+    _tableau: np.ndarray = field(compare=False, repr=False)
 
 
 class _Vertex(NamedTuple):
@@ -65,11 +68,11 @@ class _Vertex(NamedTuple):
     value: float
     basis: tuple[int, ...]
     pivots: int
+    tableau: np.ndarray
 
 
-def _start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
-    """The tableau of max 1'y s.t. Ay <= 1, y >= 0 at the given basis, or
-    None when that basis is singular or primal infeasible."""
+def _start_tableau(A: np.ndarray) -> np.ndarray:
+    """The tableau of max 1'y s.t. Ay <= 1, y >= 0 at the slack basis."""
     n, m = A.shape
     width = m + n + 1
     T = np.zeros((n + 1, width))
@@ -79,41 +82,35 @@ def _start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
     # run through the flat tableau, which ends past row n by itself
     T.reshape(-1)[width + m :: width + 1] = 1.0
     T[1:, -1] = 1.0
-    cols = list(basis)
-    if cols == list(range(m, m + n)):
-        # B = I: the tableau is already at the slack basis, and feasible
-        return T
-    if len(set(cols)) != n or min(cols) < 0 or max(cols) >= m + n:
-        return None
-    try:
-        T[1:] = np.linalg.solve(T[1:, cols], T[1:])
-    except np.linalg.LinAlgError:
-        return None
-    T[0] -= T[0, cols] @ T[1:]
-    rhs = T[1:, -1]
-    if not np.isfinite(T).all() or rhs.min() < -_FEAS_TOL * max(1.0, rhs.max()):
-        return None
-    # basic columns exactly as the pivots keep them: unit vectors with
-    # zero reduced cost, so no rounding noise reaches the dual prices
-    T[1:, cols] = np.eye(n)
-    T[0, cols] = 0.0
-    np.maximum(rhs, 0.0, out=rhs)
     return T
 
 
-def _simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
-    """Solve the positive matrix game A (rows maximize), starting from a
-    basis of max 1'y s.t. Ay <= 1, y >= 0.
+def _appended_tableau(T: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """A copy of the optimal tableau T with the columns new inserted
+    before its slack block.
+
+    The slack block holds B^-1 below the dual prices pi, so one product
+    gives each new column's body B^-1 a and, in row 0, pi.a, less 1 for
+    its reduced cost. The basis and its values are unchanged, so the
+    copy is still primal feasible.
+    """
+    n = T.shape[0] - 1
+    m = T.shape[1] - n - 1
+    block = T[:, m : m + n] @ new
+    block[0] -= 1.0
+    return np.concatenate((T[:, :m], block, T[:, m:]), axis=1)
+
+
+def _simplex_game(T: np.ndarray, basis: list[int], bland: bool) -> _Vertex:
+    """Solve a positive matrix game A (rows maximize) from T, a primal
+    feasible tableau of max 1'y s.t. Ay <= 1, y >= 0 at basis; T and
+    basis are pivoted in place.
 
     The optimal row strategy w comes from the dual prices, the column
     strategy theta from the primal y, and the game value is 1 / 1'y.
     """
-    n, m = A.shape
-    T = _start_tableau(A, basis)
-    if T is None:
-        raise NumericalFailure("start basis is singular or infeasible")
-    basis = list(basis)
-
+    n = T.shape[0] - 1
+    m = T.shape[1] - n - 1
     row0 = T[0, : m + n]
     rhs = T[1:, -1]
     max_pivots = 200 + 60 * (m + n)
@@ -164,24 +161,29 @@ def _simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
     w = pi / total
-    return _Vertex(w, theta, value, tuple(basis), pivots)
+    return _Vertex(w, theta, value, tuple(basis), pivots, T)
 
 
-def _solve_game(A: np.ndarray, start: Sequence[int] | None) -> _Vertex:
-    """Solve from start by Dantzig's rule; if start is None or unusable, or
-    that pass fails, solve cold from the slack basis by Dantzig's rule,
-    then Bland's."""
+def _solve_game(A: np.ndarray, warm: LpSolution | None) -> _Vertex:
+    """Solve from warm's tableau extended by A's new columns, by Dantzig's
+    rule; if warm is None or that pass fails, solve cold from the slack
+    basis by Dantzig's rule, then Bland's."""
     n, m = A.shape
-    slack = range(m, m + n)
-    passes = [(slack, False), (slack, True)]
-    if start is not None:
-        passes.insert(0, (start, False))
-    for basis, bland in passes[:-1]:
+    if warm is not None:
+        old = len(warm.theta)
+        # the slacks follow the columns, so they move up by the new ones
+        basis = [k if k < old else k + m - old for k in warm.basis]
         try:
-            return _simplex_game(A, basis, bland)
+            return _simplex_game(
+                _appended_tableau(warm._tableau, A[:, old:]), basis, False
+            )
         except NumericalFailure:
             pass
-    return _simplex_game(A, *passes[-1])
+    slack = range(m, m + n)
+    try:
+        return _simplex_game(_start_tableau(A), list(slack), False)
+    except NumericalFailure:
+        return _simplex_game(_start_tableau(A), list(slack), True)
 
 
 def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
@@ -189,26 +191,33 @@ def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
 
     u[i][k] is the payoff of box i against stored column k; every entry
     must be finite and > 0. warm, a solution for the first columns of u,
-    starts the simplex from its optimal basis; those columns were checked
-    when it was solved, so only the columns after them are checked here.
+    starts the simplex from its optimal tableau; those columns are
+    neither checked nor read again, so a warm start for a game with other
+    rows or more columns is refused.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
         raise Infeasible(f"payoff matrix shape {u.shape} unusable")
-    m = 0 if warm is None else len(warm.theta)
-    new = u[:, m:]
+    n, m = u.shape
+    old = 0
+    if warm is not None:
+        old = len(warm.theta)
+        rows = warm._tableau.shape[0] - 1
+        if rows != n or old > m:
+            raise ValueError(
+                f"warm start solved a {rows} x {old} game, which does not "
+                f"begin the {n} x {m} payoff matrix"
+            )
+    new = u[:, old:]
     if not ((new > 0.0) & (new < np.inf)).all():
         raise NumericalFailure("payoff entries must be finite and > 0")
-    start = None
-    if warm is not None:
-        # the slacks follow the columns, so they move up by the new ones
-        start = [k if k < m else k + u.shape[1] - m for k in warm.basis]
-    w, theta, v, basis, pivots = _solve_game(u, start)
+    w, theta, v, basis, pivots, tableau = _solve_game(u, warm)
     p = HidingStrategy(tuple((w / w.sum()).tolist()))
     # prune dual noise and renormalize; a vertex already mixes <= n columns
     theta[theta <= 1e-12 * max(1.0, theta.max())] = 0.0
     theta /= theta.sum()
-    return LpSolution(p=p, v=v, theta=theta, basis=basis, pivots=pivots)
+    return LpSolution(p=p, v=v, theta=theta, basis=basis, pivots=pivots,
+                      _tableau=tableau)
 
 
 def recover_searcher_mixture(u: np.ndarray,

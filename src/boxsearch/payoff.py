@@ -397,6 +397,15 @@ def expected_payoff(
     )
 
 
+def check_mixture_weights(weights: list[float]) -> None:
+    """Refuse searcher mixture weights that are negative or do not sum to
+    1 (to 1e-9, with fsum)."""
+    if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
+        raise InvalidMixture(
+            f"mixture weights must be >= 0 and sum to 1, got {weights}"
+        )
+
+
 def mixed_payoff(
     game: SearchGame, i: int, theta: list[tuple[float, SearchSequence]],
 ) -> PayoffBracket:
@@ -406,11 +415,7 @@ def mixed_payoff(
     Weights must be nonnegative and sum to 1. Each side is summed with
     fsum.
     """
-    weights = [w for w, _ in theta]
-    if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
-        raise InvalidMixture(
-            f"mixture weights must be >= 0 and sum to 1, got {weights}"
-        )
+    check_mixture_weights([w for w, _ in theta])
     lower, upper = [], []
     used = 0
     for w, xi in theta:

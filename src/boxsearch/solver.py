@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BoxNeverSearched
 from .gittins import (
     SearchSequence,
     TieOrdering,
@@ -48,8 +49,8 @@ from .lp import LpSolution, recover_searcher_mixture, solve_hider_lp
 from .model import HidingStrategy, SearchGame, p0
 from .payoff import (
     PayoffBracket,
+    check_mixture_weights,
     expected_payoff,
-    mixed_payoff,
     payoff_column,
     release_powers,
 )
@@ -151,11 +152,20 @@ def _column_values(game: SearchGame,
 def _mixture_certificate(game: SearchGame, theta, sequences) -> float:
     """max_i u(i, theta) over bracket upper bounds: a rigorous upper bound
     on the game value for any searcher mixture theta, independent of LP
-    rounding."""
-    mixture = list(zip(theta, sequences))
-    return max(
-        mixed_payoff(game, i, mixture).upper for i in range(game.n)
-    )
+    rounding.
+
+    The same sums as max_i mixed_payoff(game, i, mixture).upper, in the
+    same order, from one pass over the support's payoff columns.
+    """
+    check_mixture_weights(theta)
+    support = [(w, payoff_column(game, seq))
+               for w, seq in zip(theta, sequences) if w != 0.0]
+    if any((column.lower == math.inf).any() for _, column in support):
+        raise BoxNeverSearched(
+            "a box is never searched by a mixed-in sequence"
+        )
+    terms = np.array([w * column.upper for w, column in support])
+    return max(math.fsum(box) for box in terms.T.tolist())
 
 
 def _p0_counters(game: SearchGame,

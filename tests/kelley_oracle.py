@@ -36,8 +36,8 @@ def floored_lp(u: np.ndarray, delta: np.ndarray) -> FlooredLp:
     reports whether any floor is active: s*w_i <= 1e-9 * delta_i.
     """
     s = 1.0 - float(delta.sum())
-    # a cold solve: the oracle carries no basis between its LPs
-    vertex = _solve_game(s * u + delta @ u, start=None)
+    # a cold solve: the oracle carries no tableau between its LPs
+    vertex = _solve_game(s * u + delta @ u, warm=None)
     p = delta + s * vertex.w
     p = p / p.sum()
     binding = any(s * wi <= 1e-9 * di for wi, di in zip(vertex.w, delta))

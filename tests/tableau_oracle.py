@@ -3,9 +3,15 @@ trimmed, kept as a test oracle.
 
 Every pivot, ratio test and dual-price extraction here is the original
 one, written for clarity: y is read row by row, the leaving row is always
-picked with min(key=...), and every temporary is built afresh. The
-solver's _simplex_game must return the very same vertex (w, theta, value,
-basis and pivots) on every LP.
+picked with min(key=...), and every temporary is built afresh. From the
+slack basis, the solver's _simplex_game must return the very same vertex
+(w, theta, value, basis, pivots and tableau) on every LP.
+
+The oracle also keeps the warm start boxsearch used to make: rebuild the
+tableau from the original matrix as B^-1 [A | I | 1] at the renumbered
+previous basis, refusing a singular or infeasible one. The solver now
+extends the previous optimal tableau instead, which must reach the same
+basis in the same pivots, with values equal up to rounding.
 """
 
 from typing import Sequence
@@ -13,7 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from boxsearch.errors import NumericalFailure
-from boxsearch.lp import _ENTER_TOL, _FEAS_TOL, _PIVOT_TOL, _Vertex
+from boxsearch.lp import _ENTER_TOL, _PIVOT_TOL, _Vertex
+
+# a start basis whose B^-1 1 has an entry below -_FEAS_TOL * max(1, max
+# entry) is infeasible; entries above that are rounding and read as 0
+_FEAS_TOL = 1e-9
 
 
 def start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
@@ -107,4 +117,4 @@ def simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
     w = pi / total
-    return _Vertex(w, theta, value, tuple(basis), pivots)
+    return _Vertex(w, theta, value, tuple(basis), pivots, T)

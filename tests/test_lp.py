@@ -1,18 +1,21 @@
 """The hider LP as a plain matrix game, its warm start from a previous
-basis, searcher-mixture recovery, and the floored LP the Kelley oracle
-keeps as its reference."""
+optimal tableau, searcher-mixture recovery, and the floored LP the Kelley
+oracle keeps as its reference."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import boxsearch.lp
 import boxsearch.solver
 from boxsearch import SCHEMES, SolveConfig, sample_game, solve
 from boxsearch.errors import DualInconsistent, Infeasible, NumericalFailure
 from boxsearch.lp import (
     DUAL_REL_TOL,
+    _appended_tableau,
     _simplex_game,
+    _start_tableau,
     recover_searcher_mixture,
     solve_hider_lp,
 )
@@ -104,17 +107,19 @@ class TestSolveHiderLp:
         assert np.array_equal(a.theta, b.theta)
 
 
-def solve_lp_calls(game):
-    """The (u, warm) pairs of every LP call in a solve of game."""
+def solve_lp_calls(game, epsilon=1e-6):
+    """The (u, warm, solution) triples of every LP call in a solve of
+    game."""
     calls = []
 
     def recording(u, warm=None):
-        calls.append((u, warm))
-        return solve_hider_lp(u, warm=warm)
+        sol = solve_hider_lp(u, warm=warm)
+        calls.append((u, warm, sol))
+        return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxsearch.solver, "solve_hider_lp", recording)
-        solve(game, SolveConfig(epsilon=1e-6))
+        solve(game, SolveConfig(epsilon=epsilon))
     return calls
 
 
@@ -130,13 +135,18 @@ def highs_value(u: np.ndarray) -> float:
     return -1.0 / res.fun
 
 
-def assert_same_vertex(u, basis, bland):
-    """_simplex_game and the tableau oracle return the same vertex, or
-    refuse alike, bit for bit."""
+def assert_same_vertex(u, bland):
+    """A cold pass of _simplex_game and the tableau oracle return the
+    same vertex and tableau, or refuse alike, bit for bit."""
+    n, m = u.shape
+    slack = range(m, m + n)
     found = []
-    for simplex in (_simplex_game, simplex_game):
+    for simplex in (
+        lambda: _simplex_game(_start_tableau(u), list(slack), bland),
+        lambda: simplex_game(u, slack, bland),
+    ):
         try:
-            found.append(simplex(u, basis, bland))
+            found.append(simplex())
         except NumericalFailure as exc:
             found.append(str(exc))
     a, b = found
@@ -145,10 +155,26 @@ def assert_same_vertex(u, basis, bland):
     else:
         assert np.array_equal(a.w, b.w) and np.array_equal(a.theta, b.theta)
         assert (a.value, a.basis, a.pivots) == (b.value, b.basis, b.pivots)
+        assert np.array_equal(a.tableau, b.tableau)
+
+
+def assert_appended_matches_refactor(u, warm):
+    """The pass from warm's tableau extended by u's new columns reaches
+    the basis the oracle reaches by refactoring warm's renumbered basis,
+    in as many pivots, with v within 1e-12 relative and p within 1e-10."""
+    old, m = len(warm.theta), u.shape[1]
+    start = [k if k < old else k + m - old for k in warm.basis]
+    a = _simplex_game(_appended_tableau(warm._tableau, u[:, old:]),
+                      list(start), False)
+    b = simplex_game(u, start, False)
+    assert (a.basis, a.pivots) == (b.basis, b.pivots)
+    assert abs(a.value - b.value) <= 1e-12 * b.value
+    np.testing.assert_allclose(a.w, b.w, rtol=0.0, atol=1e-10)
 
 
 class TestWarmStart:
-    """Each solve restarts the simplex from the previous optimal basis."""
+    """Each solve extends the previous optimal tableau by the appended
+    columns."""
 
     @pytest.fixture(scope="class")
     def replays(self):
@@ -159,9 +185,8 @@ class TestWarmStart:
 
     def test_warm_matches_cold(self, replays):
         for calls in replays:
-            assert all(warm is not None for _, warm in calls[1:])
-            for u, warm in calls:
-                hot = solve_hider_lp(u, warm=warm)
+            assert all(warm is not None for _, warm, _ in calls[1:])
+            for u, warm, hot in calls:
                 cold = solve_hider_lp(u)
                 assert abs(hot.v - cold.v) <= DUAL_REL_TOL * max(1.0, cold.v)
                 recover_searcher_mixture(u, hot)
@@ -172,39 +197,32 @@ class TestWarmStart:
     def test_warm_matches_highs(self, replays):
         pytest.importorskip("scipy")
         for calls in replays:
-            for u, warm in calls:
-                hot = solve_hider_lp(u, warm=warm)
+            for u, _, hot in calls:
                 ref = highs_value(u)
                 assert abs(hot.v - ref) <= 1e-9 * ref
 
     def test_vertices_match_the_tableau_oracle(self, replays):
-        # every LP of the replays from its warm start, cold, and by Bland's
-        # rule: the same vertex, or the same refusal, bit for bit
+        # every LP of the replays cold and by Bland's rule: the same
+        # vertex, or the same refusal, bit for bit; from its warm start,
+        # the oracle's refactored vertex up to rounding
         for calls in replays:
-            for u, warm in calls:
-                n, m = u.shape
-                slack = tuple(range(m, m + n))
-                starts = [(slack, False), (slack, True)]
+            for u, warm, _ in calls:
+                assert_same_vertex(u, False)
+                assert_same_vertex(u, True)
                 if warm is not None:
-                    old = len(warm.theta)
-                    start = tuple(k if k < old else k + m - old
-                                  for k in warm.basis)
-                    starts += [(start, False), (start, True)]
-                for basis, bland in starts:
-                    assert_same_vertex(u, basis, bland)
+                    assert_appended_matches_refactor(u, warm)
 
     @pytest.mark.parametrize("bland", [False, True])
     def test_tied_ratio_test_matches_the_tableau_oracle(self, bland):
         # integer payoffs tie the ratio test, and among the tied rows the
         # one with the lowest basic variable is not the first row
         u = matrix([[1, 3, 1], [2, 3, 1], [1, 3, 1]])
-        assert_same_vertex(u, (3, 4, 5), bland)
+        assert_same_vertex(u, bland)
 
     def test_warm_start_saves_pivots(self, replays):
-        warm = [solve_hider_lp(u, warm=w).pivots
-                for calls in replays for u, w in calls[1:]]
+        warm = [hot.pivots for calls in replays for _, _, hot in calls[1:]]
         cold = [solve_hider_lp(u).pivots
-                for calls in replays for u, _ in calls[1:]]
+                for calls in replays for u, _, _ in calls[1:]]
         assert np.mean(warm) <= 4
         assert np.mean(cold) >= 20
 
@@ -220,19 +238,68 @@ class TestWarmStart:
         np.testing.assert_allclose(hot.p.p, (0.5, 0.5), atol=1e-12)
         assert (hot.pivots, cold.pivots) == (1, 2)
 
-    @pytest.mark.parametrize("rows, start", [
-        # columns 0 and 1 are equal, so the basis {0, 1} is singular
-        ([[3, 3, 4], [4, 4, 3]], (0, 1)),
-        # basis {column 0, slack 1}: y_0 = 1, and slack 1 = 1 - 4 < 0
-        ([[1, 4], [4, 1]], (0, 3)),
-    ], ids=["singular", "infeasible"])
-    def test_unusable_start_falls_back_to_cold(self, rows, start):
-        u = matrix(rows)
+    def test_tableau_is_left_out_of_eq_and_repr(self):
+        u = matrix([[3, 5], [4, 2]])
+        a = solve_hider_lp(u)
+        b = replace(a, _tableau=np.zeros(1))
+        assert a == b
+        assert repr(a) == repr(b) and "tableau" not in repr(a)
+
+    def test_failed_appended_pass_falls_back_to_cold(self, monkeypatch):
+        # the appended column enters with no positive entry in its body,
+        # so the appended pass raises, and the call solves cold
+        failures = []
+
+        def bodiless(T, new):
+            ext = _appended_tableau(T, new)
+            m = T.shape[1] - T.shape[0]
+            ext[1:, m : m + new.shape[1]] = 0.0
+            return ext
+
+        def spying(T, basis, bland):
+            try:
+                return _simplex_game(T, basis, bland)
+            except NumericalFailure as exc:
+                failures.append(str(exc))
+                raise
+
+        u = matrix([[3, 5], [4, 2]])
+        first = solve_hider_lp(u[:, :1])
+        monkeypatch.setattr(boxsearch.lp, "_appended_tableau", bodiless)
+        monkeypatch.setattr(boxsearch.lp, "_simplex_game", spying)
+        hot = solve_hider_lp(u, warm=first)
+        monkeypatch.undo()
         cold = solve_hider_lp(u)
-        hot = solve_hider_lp(u, warm=replace(cold, basis=start))
+        assert failures == ["unbounded pivot in a positive game"]
         assert hot.p.p == cold.p.p
         assert (hot.v, hot.basis, hot.pivots) == (cold.v, cold.basis, cold.pivots)
         assert np.array_equal(hot.theta, cold.theta)
+        assert np.array_equal(hot._tableau, cold._tableau)
+
+    def test_warm_start_for_other_rows_refused(self):
+        warm = solve_hider_lp(matrix([[3], [4]]))
+        with pytest.raises(ValueError, match="does not begin"):
+            solve_hider_lp(matrix([[3, 5], [4, 2], [1, 6]]), warm=warm)
+
+    def test_warm_start_with_more_columns_refused(self):
+        u = matrix([[3, 5], [4, 2]])
+        warm = solve_hider_lp(u)
+        with pytest.raises(ValueError, match="does not begin"):
+            solve_hider_lp(u[:, :1], warm=warm)
+
+    def test_long_chain_stays_within_cold(self, replays):
+        # at epsilon 1e-9 an n = 8 solve makes more LP calls than any
+        # replay, each extending the tableau the last one left: the
+        # carried rounding keeps every value within DUAL_REL_TOL of a cold
+        # solve, and the final searcher mixture still checks against u
+        game = sample_game(SCHEMES["varied"], 8, per_game_seed(3, 2))
+        calls = solve_lp_calls(game, epsilon=1e-9)
+        assert len(calls) > max(len(replay) for replay in replays)
+        for u, _, hot in calls:
+            cold = solve_hider_lp(u)
+            assert abs(hot.v - cold.v) <= DUAL_REL_TOL * max(1.0, cold.v)
+        u, _, last = calls[-1]
+        recover_searcher_mixture(u, last)
 
 
 class TestRecoverSearcherMixture:

