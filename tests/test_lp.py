@@ -245,16 +245,15 @@ class TestWarmStart:
         assert a == b
         assert repr(a) == repr(b) and "tableau" not in repr(a)
 
-    def test_failed_appended_pass_falls_back_to_cold(self, monkeypatch):
-        # the appended column enters with no positive entry in its body,
-        # so the appended pass raises, and the call solves cold
+    @pytest.mark.parametrize("start, failure", [
+        ("singular", "unbounded pivot in a positive game"),
+        ("infeasible", "nonpositive game objective"),
+    ], ids=["singular", "infeasible"])
+    def test_unusable_start_falls_back_to_cold(self, monkeypatch, start,
+                                               failure):
+        # the appended pass from an unusable warm tableau raises, and the
+        # call solves cold
         failures = []
-
-        def bodiless(T, new):
-            ext = _appended_tableau(T, new)
-            m = T.shape[1] - T.shape[0]
-            ext[1:, m : m + new.shape[1]] = 0.0
-            return ext
 
         def spying(T, basis, bland):
             try:
@@ -265,12 +264,20 @@ class TestWarmStart:
 
         u = matrix([[3, 5], [4, 2]])
         first = solve_hider_lp(u[:, :1])
-        monkeypatch.setattr(boxsearch.lp, "_appended_tableau", bodiless)
+        T = first._tableau.copy()
+        n = T.shape[0] - 1
+        m = T.shape[1] - n - 1
+        if start == "singular":
+            # a zero B^-1 gives the appended column no body to pivot on
+            T[1:, m : m + n] = 0.0
+        else:
+            # negated basic values end the pass at a negative objective
+            T[:, -1] *= -1.0
         monkeypatch.setattr(boxsearch.lp, "_simplex_game", spying)
-        hot = solve_hider_lp(u, warm=first)
+        hot = solve_hider_lp(u, warm=replace(first, _tableau=T))
         monkeypatch.undo()
         cold = solve_hider_lp(u)
-        assert failures == ["unbounded pivot in a positive game"]
+        assert failures == [failure]
         assert hot.p.p == cold.p.p
         assert (hot.v, hot.basis, hot.pivots) == (cold.v, cold.basis, cold.pivots)
         assert np.array_equal(hot.theta, cold.theta)
