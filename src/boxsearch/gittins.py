@@ -23,23 +23,27 @@ point the sequence provably repeats the window forever.
 A detected cycle is the sequence's periodic tail: past the cycle's entry
 a sequence extends from the cycle's pattern, and otherwise from its index
 streams. Sequences are generated lazily, one request at a time (so many
-searches, or so many visits of some boxes). A request is realized in
-blocks: each box's next indices come from one sequential product, a
-cumprod that yields exactly the floats of multiplying once per search,
-and the boxes' streams are merged by index. The one-step rule, one
-comparison of all indices per search, decides only the searches a merge
-cannot: near-ties, the forced prefix at p0, and rescaling (see
-_GittinsDriver). Per-box visit completion times are memoized so repeated
-payoff evaluations never regenerate prefixes.
+searches, or so many visits of some boxes), and a request is usually
+realized in one merge: each box's next indices come from one sequential
+product, a cumprod that yields exactly the floats of multiplying once per
+search, run just past the request's last search, and one stable sort
+merges the boxes' streams by index, breaking exact ties as the exact
+counter does. The one-step rule, one comparison of all indices per
+search, decides only the searches a merge cannot: near-ties of a sigma
+counter, the forced prefix at p0, and rescaling; a request deeper than
+the cap on a stream goes block by block (see _GittinsDriver). Per-box
+visit completion times are memoized so repeated payoff evaluations never
+regenerate prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from .errors import (
     InvalidHidingStrategy,
     NumericalFailure,
 )
-from .model import HidingStrategy, SearchGame, p0
+from .model import HidingStrategy, SearchGame, _once_per_game, p0
 
 TIE_REL_TOL = 1e-9
 
@@ -66,9 +70,11 @@ _CYCLE_STEP_BUDGET_FACTOR = 10_000
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE = 2.0 ** 600
 
-# bounds on the searches per box in one block's index streams
-_MIN_WIDTH = 4
+# the most searches per box in one merge's index streams
 _MAX_WIDTH = 1 << 14
+# searches a stream runs past its estimated length, against rounding in
+# the estimate
+_STREAM_SLACK = 3
 
 _NO_VISITS = np.empty(0)
 
@@ -123,34 +129,69 @@ class CycleInfo:
     pattern: tuple[int, ...]
 
 
+class _Block(NamedTuple):
+    """One merge's searches. Visit times go to a buffer laid out box by
+    box: the search boxes[k] to slot slots[k], so box b's new visit times
+    are the slice bounds[b]:bounds[b] + counts[b], in order."""
+
+    boxes: np.ndarray
+    slots: np.ndarray
+    bounds: list[int]
+    counts: list[int]
+
+
+class _StreamParams(NamedTuple):
+    """Per-box constants of a game's index streams, kept on the game."""
+
+    t: np.ndarray
+    q: np.ndarray  # 1 - alpha, the factor an index takes per search
+    q_list: list[float]
+    log_q: list[float]  # -inf for a perfect box
+    rows: np.ndarray  # 0, 1, ..., n - 1
+
+
+@_once_per_game
+def _stream_params(game: SearchGame) -> _StreamParams:
+    q = 1.0 - np.asarray(game.alpha)
+    return _StreamParams(
+        t=np.asarray(game.t), q=q, q_list=q.tolist(),
+        log_q=[math.log1p(-a) if a < 1.0 else -math.inf for a in game.alpha],
+        rows=np.arange(game.n),
+    )
+
+
 class _GittinsDriver:
     """Generates the boxes of a Gittins sequence against p, in blocks.
 
     Box j's upcoming indices form one sequential product: idx_j, then
     idx_j q_j, idx_j q_j^2, ... with q_j = 1 - alpha_j. A row-wise
     np.cumprod yields exactly the floats that multiplying the index once
-    per search would, so a block takes those streams for every box and
-    merges them by (-index, box). As long as no other box's index comes
-    within tolerance of the largest, that merge is the sequence.
+    per search would, so a merge takes those streams for every box and
+    sorts them by (-index, box): a stable sort of the box-major layout
+    puts equal indices lower box first, as the one-step rule at tol = 0
+    does. The streams are sized from the request: each runs to its first
+    index below the request's last search (or below _RESCALE_BELOW, or
+    for at most _MAX_WIDTH searches), so one merge usually realizes the
+    whole request, and a deeper one goes block by block.
 
-    A block stops before any search that needs the one-step rule (step):
-    one where another box's next index reaches the cut v - v * tol of the
-    emitted index v (an exact tie at tol = 0, a near-tie within
-    TIE_REL_TOL otherwise), one in the forced prefix that pins the first
-    searches to a given order (the designed starting tie at p0), and one
-    whose index falls below _RESCALE_BELOW. A block also stops after the
-    last search that its request needs, so a request never realizes a
-    search, or a tie, that searching one box at a time would not have.
-    `tied` records whether any search after the forced prefix found two
-    or more boxes within tolerance of the maximal index, i.e. whether the
-    tie ordering ever mattered."""
+    The one-step rule (step) decides only the searches a merge cannot:
+    the forced prefix that pins the first searches to a given order (the
+    designed starting tie at p0), one whose index falls below
+    _RESCALE_BELOW, and at tol > 0 a near-tie, where another box's next
+    index reaches the cut v - v * tol of the emitted index v (within
+    TIE_REL_TOL) and the ordering, not the index, decides. A merge never
+    realizes a search, or a tie, that searching one box at a time would
+    not have. `tied` records whether any search after the forced prefix
+    found two or more boxes within tolerance of the maximal index, i.e.
+    whether the tie ordering ever mattered."""
 
-    __slots__ = ("alpha", "q", "idx", "rank", "tol", "forced", "pos", "tied")
+    __slots__ = ("t", "q", "q_list", "log_q", "rows", "idx", "rank", "tol",
+                 "forced", "pos", "tied")
 
     def __init__(self, game: SearchGame, p: HidingStrategy, rank: list[int],
                  tol: float, forced: tuple[int, ...] | None):
-        self.alpha = game.alpha
-        self.q = 1.0 - np.asarray(game.alpha)
+        (self.t, self.q, self.q_list, self.log_q,
+         self.rows) = _stream_params(game)
         self.idx = [
             pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)
         ]
@@ -183,7 +224,7 @@ class _GittinsDriver:
                     if self.rank[i] < choice_rank:
                         choice = i
                         choice_rank = self.rank[i]
-        self.idx[choice] *= 1.0 - self.alpha[choice]
+        self.idx[choice] *= self.q_list[choice]
         self.pos += 1
         return choice
 
@@ -199,81 +240,139 @@ class _GittinsDriver:
         best = max(self.idx)
         if best < _RESCALE_BELOW:
             return True
+        if not self.tol:
+            return False
         cut = best - best * self.tol
         return sum(v >= cut for v in self.idx) > 1
 
-    def take(self, steps: int | None, need: np.ndarray | None) -> np.ndarray:
-        """The next searches. With `steps`, that many. With `need`, up to
-        the search after which every box i has been searched need[i] more
-        times or can never be searched again."""
-        n = len(self.idx)
-        blocks = []
-        done = 0
-        # streams twice the largest need: the boxes a request waits on
-        # seldom outrun them, so one block usually serves it
-        width = steps if need is None else 2 * int(need.max())
-        while True:
-            if need is None:
-                # with every index zero the one-step rule raises; the
-                # searches realized so far stand
-                if done == steps or max(self.idx) <= 0.0:
-                    break
-            elif not any(k > 0 and v > 0.0
-                         for k, v in zip(need.tolist(), self.idx)):
-                break
+    def take(self, steps: int | None,
+             need: list[int] | None) -> Iterator[int | _Block]:
+        """The next searches: each the one-step rule decides as its box,
+        each merge as a _Block. With `steps`, that many searches. With
+        `need`, up to the search after which every box i has been
+        searched need[i] more times or can never be searched again."""
+        while (steps > 0 and max(self.idx) > 0.0 if need is None else
+               any(k > 0 and v > 0.0 for k, v in zip(need, self.idx))):
             if self._step_due():
-                block = np.array([self.step()])
+                box = self.step()
+                yield box
+                if need is None:
+                    steps -= 1
+                else:
+                    need[box] -= 1
+                continue
+            block, done = self._merge(steps, need)
+            yield block
+            if done:
+                return
+            if need is None:
+                steps -= len(block.boxes)
             else:
-                width = min(max(width, _MIN_WIDTH), _MAX_WIDTH)
-                block = self._merge(
-                    width, None if steps is None else steps - done, need
-                )
-                # a block cut short by the one-step rule suggests more such
-                # searches ahead: halve the streams; one that ran out of
-                # its streams: double them
-                width = width // 2 if self._step_due() else 2 * width
-            blocks.append(block)
-            done += len(block)
-            if need is not None:
-                need = need - np.bincount(block, minlength=n)
-        return np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
+                need = [k - c for k, c in zip(need, block.counts)]
 
-    def _merge(self, width: int, steps: int | None,
-               need: np.ndarray | None) -> np.ndarray:
-        """One block from index streams of `width` searches per box. Its
+    def _merge(self, steps: int | None,
+               need: list[int] | None) -> tuple[_Block, bool]:
+        """One block of the request, and whether it ends the request. Its
         first search is not for the one-step rule, so it is never empty."""
-        n = len(self.idx)
+        idx = self.idx
+        n = len(idx)
+        if need is None:
+            last = ()
+            width = min(steps, _MAX_WIDTH)
+        else:
+            # each wanted box's last search it can still get (a perfect
+            # box has only its first), and the smallest of their indices,
+            # estimated: every stream runs to its first index below it
+            last = []
+            low = math.inf
+            for i, (k, v, q) in enumerate(zip(need, idx, self.q_list)):
+                if k > 0 and v > 0.0:
+                    d = k - 1 if q else 0
+                    last.append((i, d))
+                    v *= q ** d
+                    if v < low:
+                        low = v
+            if low < _RESCALE_BELOW:
+                low = _RESCALE_BELOW
+            deepest = 0
+            for v, log_q in zip(idx, self.log_q):
+                if v >= low:
+                    k = int(math.log(low / v) / log_q)
+                    if k > deepest:
+                        deepest = k
+            width = min(deepest + _STREAM_SLACK, _MAX_WIDTH)
         grid = np.empty((n, width + 1))
-        grid[:, 0] = self.idx
+        grid[:, 0] = idx
         grid[:, 1:] = self.q[:, None]
         streams = grid.cumprod(axis=1, out=grid)
-        # the block ends before the first index at most some stream's last
-        # entry (past it that box's next index is unknown), before the
-        # first below _RESCALE_BELOW (the one-step rule rescales), and
-        # after the last search the request takes. Only the entries above
-        # those cuts are merged: they are the head of the merge of all.
+        # past a stream's last entry that box's next index is unknown:
+        # only the entries above every stream's last one are merged
         floor = streams[:, -1].max()
-        low = _RESCALE_BELOW
-        if need is not None:
-            low = max(low, self._request_last(streams, need))
-        values = streams.ravel()
-        flat = np.flatnonzero(values >= low if low > floor else values > floor)
+        # the request's last search (c, h), read exactly off the streams:
+        # the smallest of the wanted boxes' last indices, at the highest
+        # box holding it, since equal indices merge lower box first
+        c, h = math.inf, -1
+        for i, d in last:
+            v = streams.item(i, min(d, width))
+            if v <= c:
+                c, h = v, i
+        ends = h >= 0 and c > floor and c >= _RESCALE_BELOW
+        if ends:
+            chosen = streams >= c
+        elif _RESCALE_BELOW > floor:
+            # the one-step rule rescales from the first index below it
+            chosen = streams >= _RESCALE_BELOW
+        else:
+            chosen = streams > floor
+        flat = np.flatnonzero(chosen)
         # descending by index; stable on the box-major layout, so equal
         # indices go to the lower box
-        keys = -values[flat]
+        keys = -streams.ravel()[flat]
         order = keys.argsort(kind="stable")
         keys = keys[order]
-        # a request's merge ends with its last search, or with indices
-        # equal to it: ties, which end the block anyway
         stop = len(keys) if steps is None else min(len(keys), steps)
+        if ends:
+            # indices equal to c in boxes above h merge after (c, h) and
+            # stay unrealized
+            while flat[order[stop - 1]] // (width + 1) > h:
+                stop -= 1
         boxes = flat[order[:stop]] // (width + 1)
         counts = np.bincount(boxes, minlength=n)
-        upcoming = streams[np.arange(n), counts].tolist()
-        # while one box runs in the merge, the largest index of any other
-        # box is the entry after the run; the cut of each emitted index
-        # only falls along the run, so a run holds a tie only if its last
-        # search ties with that entry, and its ties end the run. On the
-        # negated keys, index v's cut v - v * tol is key k's k - k * tol.
+        upcoming = streams[self.rows, counts].tolist()
+        cut_short = False
+        if not self.tol:
+            # an exact tie is two equal indices next to each other in the
+            # merge, or an unrealized index equal to the last one
+            if not self.tied:
+                self.tied = (bool((keys[1:stop] == keys[:stop - 1]).any())
+                             or -keys[stop - 1] in upcoming)
+        else:
+            first = self._before_near_tie(keys, boxes, upcoming)
+            if first < stop:
+                cut_short = True
+                stop = first
+                boxes = boxes[:stop]
+                counts = np.bincount(boxes, minlength=n)
+                upcoming = streams[self.rows, counts].tolist()
+        self.idx = upcoming
+        self.pos += stop
+        counts = counts.tolist()
+        # each box's slice of the by-box layout holds all its merged
+        # entries, realized or not
+        merged = counts if stop == len(flat) else chosen.sum(axis=1).tolist()
+        bounds = list(itertools.accumulate(merged, initial=0))
+        block = _Block(boxes, order[:stop], bounds, counts)
+        return block, (ends or stop == steps) and not cut_short
+
+    def _before_near_tie(self, keys: np.ndarray, boxes: np.ndarray,
+                         upcoming: list[float]) -> int:
+        """The searches of a merge before its first near-tie, which the
+        one-step rule takes; keys are the negated indices in merge order.
+        While one box runs in the merge, the largest index of any other
+        box is the entry after the run; the cut of each emitted index only
+        falls along the run, so a run holds a tie only if its last search
+        ties with that entry, and its ties end the run. On the negated
+        keys, index v's cut v - v * tol is key k's k - k * tol."""
         ends = np.flatnonzero(boxes[1:] != boxes[:-1])
         tails = keys[ends]
         tied = np.flatnonzero(keys[ends + 1] <= tails - tails * self.tol)
@@ -283,7 +382,7 @@ class _GittinsDriver:
         else:
             # the last run's next entry lies past the block: the largest
             # next index of the other boxes
-            end = stop - 1
+            end = len(boxes) - 1
             head = max((v for i, v in enumerate(upcoming) if i != boxes[end]),
                        default=-math.inf)
         first = end + 1
@@ -292,31 +391,7 @@ class _GittinsDriver:
             if head < v - v * self.tol:
                 break
             first -= 1
-        if first <= end:
-            stop = first
-            boxes = boxes[:stop]
-            upcoming = streams[
-                np.arange(n), np.bincount(boxes, minlength=n)
-            ].tolist()
-        self.idx = upcoming
-        self.pos += stop
-        return boxes
-
-    def _request_last(self, streams: np.ndarray, need: np.ndarray) -> float:
-        """The smallest index among the last searches that a request for
-        need[i] more searches of each box i takes from these streams (a
-        merge from the current indices): each box's last search it needs
-        that the box can still get (a stream ending in zeros has no
-        more)."""
-        size = streams.shape[1]
-        last = math.inf
-        for i, (k, v) in enumerate(zip(need.tolist(), self.idx)):
-            if k > 0 and v > 0.0:
-                v = streams.item(i, min(k, size) - 1)
-                if v == 0.0:
-                    v = streams.item(i, np.count_nonzero(streams[i]) - 1)
-                last = min(last, v)
-        return last
+        return first if first <= end else len(boxes)
 
 
 class SearchSequence:
@@ -368,32 +443,36 @@ class SearchSequence:
         self._reserve(b, 1)[count] = self._elapsed
         self._counts[b] = count + 1
 
-    def _append_all(self, boxes: np.ndarray) -> None:
-        """Append a block of searches; one cumsum from the elapsed time
-        gives the same visit times as adding them one at a time."""
-        if not len(boxes):
-            return
+    def _append_block(self, block: _Block) -> None:
+        """Append a merged block; one cumsum from the elapsed time gives
+        the same visit times as adding them one at a time."""
+        boxes, slots, bounds, counts = block
         times = np.empty(len(boxes) + 1)
         times[0] = self._elapsed
-        np.take(self.game.t, boxes, out=times[1:])
-        times = times.cumsum()[1:]
+        times[1:] = self._driver.t[boxes]
+        times.cumsum(out=times)
         self._elapsed = float(times[-1])
         self._boxes.extend(boxes.tolist())
-        # grouped by box, in order within each box; a stable sort of the
-        # narrowest unsigned type holding a box index is a radix sort
-        by_box = boxes.astype(np.min_scalar_type(self.game.n - 1))
-        grouped = times[by_box.argsort(kind="stable")]
-        start = 0
-        for b, k in enumerate(np.bincount(boxes).tolist()):
+        by_box = np.empty(bounds[-1])
+        by_box[slots] = times[1:]
+        for b, k in enumerate(counts):
             if not k:
                 continue
+            start = bounds[b]
             count = self._counts[b]
             if count:
-                self._reserve(b, k)[count:count + k] = grouped[start:start + k]
+                self._reserve(b, k)[count:count + k] = by_box[start:start + k]
             else:
-                self._visits[b] = grouped[start:start + k]
+                self._visits[b] = by_box[start:start + k]
             self._counts[b] = count + k
-            start += k
+
+    def _realize(self, steps: int | None, need: list[int] | None) -> None:
+        """Append what the driver's take(steps, need) realizes."""
+        for block in self._driver.take(steps, need):
+            if type(block) is int:
+                self._append(block)
+            else:
+                self._append_block(block)
 
     def _extend_once(self) -> None:
         if self._driver is not None:
@@ -411,7 +490,7 @@ class SearchSequence:
         if missing <= 0:
             return
         if self._driver is not None:
-            self._append_all(self._driver.take(missing, None))
+            self._realize(missing, None)
         while len(self._boxes) < length:
             self._extend_once()
 
@@ -454,7 +533,7 @@ class SearchSequence:
         if not any(need):
             return
         if self._driver is not None:
-            self._append_all(self._driver.take(None, np.array(need)))
+            self._realize(None, need)
         else:
             for b, c in zip(boxes, counts):
                 while self._counts[b] < c and self.can_visit_more(b):

@@ -64,6 +64,10 @@ class SearchGame:
     allow_perfect: bool = False
 
     def __post_init__(self):
+        # kept as float tuples, so integer times or probabilities enter the
+        # float64 arithmetic of sequences and payoffs as floats
+        object.__setattr__(self, "t", tuple(map(float, self.t)))
+        object.__setattr__(self, "alpha", tuple(map(float, self.alpha)))
         if len(self.t) == 0:
             raise EmptyGame("a game needs at least one box")
         if len(self.t) != len(self.alpha):

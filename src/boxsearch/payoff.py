@@ -45,7 +45,7 @@ from .errors import (
     InvalidMixture,
     NoCycleDetected,
 )
-from .gittins import SearchSequence
+from .gittins import SearchSequence, _stream_params
 from .model import HidingStrategy, SearchGame, _once_per_game
 
 # relative width of series brackets; certified value bounds are built from
@@ -196,13 +196,13 @@ def _series_plan(game: SearchGame) -> _SeriesPlan:
     )
 
 
-def release_powers(game: SearchGame) -> None:
-    """Drop the powers tables and the series plan kept on game; the next
-    series call rebuilds them. A solve or p0 test releases them when it
-    returns, so a game kept alive past its solve, say in a pool of
-    inputs, does not keep R floats per box."""
-    game._derived.pop(_q_tables.__wrapped__, None)
-    game._derived.pop(_series_plan.__wrapped__, None)
+def release_tables(game: SearchGame) -> None:
+    """Drop the powers tables, the series plan and the index-stream
+    constants kept on game; the next call rebuilds them. A solve or p0
+    test releases them when it returns, so a game kept alive past its
+    solve, say in a pool of inputs, does not keep R floats per box."""
+    for derive in (_q_tables, _series_plan, _stream_params):
+        game._derived.pop(derive.__wrapped__, None)
 
 
 def payoff_truncated(

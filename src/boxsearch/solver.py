@@ -52,7 +52,7 @@ from .payoff import (
     check_mixture_weights,
     expected_payoff,
     payoff_column,
-    release_powers,
+    release_tables,
 )
 
 P0_OPT_REL_THRESHOLD = 1e-9
@@ -266,7 +266,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         termination = Termination.STALLED
     else:
         termination = Termination.MAX_ITERATIONS
-    release_powers(game)
+    release_tables(game)
     return Solution(
         p_star=p_best,
         theta=tuple(theta_full),
@@ -367,7 +367,7 @@ def _p0_result(game: SearchGame, u: np.ndarray, lp: LpSolution,
                sequences: list[SearchSequence],
                u_p0: PayoffBracket) -> P0TestResult:
     """p0 is optimal iff u(p0) matches the finite game's value v_D."""
-    release_powers(game)
+    release_tables(game)
     theta = recover_searcher_mixture(u, lp)
     return P0TestResult(
         optimal=abs(u_p0.midpoint - lp.v) / lp.v < P0_OPT_REL_THRESHOLD,

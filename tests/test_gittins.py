@@ -15,8 +15,14 @@ from boxsearch import (
     sample_game,
 )
 from boxsearch.errors import CapExceeded, InsufficientPrefix, NumericalFailure
-from boxsearch.gittins import TieOrdering, from_pattern
-from boxsearch.payoff import _first_depths, tail_params
+from boxsearch.gittins import (
+    _MAX_WIDTH,
+    SearchSequence,
+    TieOrdering,
+    _GittinsDriver,
+    from_pattern,
+)
+from boxsearch.payoff import _first_depths, payoff_column, tail_params
 from boxsearch.solver import _column_values
 from gittins_oracle import OracleSequence, gittins_index, replay_check
 
@@ -210,8 +216,8 @@ def _payoff_requests(game, rng, extra=4):
 
 def _replay(game, p, order, requests):
     """Run the same requests on a generated sequence and on the one-step
-    oracle; both must raise alike and agree on length and `tied` after
-    each, and on every box and visit time at the end. Returns the oracle."""
+    oracle; both must raise alike and agree on length, `tied`, every box
+    and every visit time after each. Returns the oracle."""
     seq = gittins_sequence(game, p, order)
     oracle = OracleSequence(game, p, order)
     for kind, boxes, *counts in requests:
@@ -230,8 +236,9 @@ def _replay(game, p, order, requests):
         assert outcomes[0] == outcomes[1], (kind, boxes, counts)
         assert len(seq) == len(oracle), (kind, boxes, counts)
         assert seq.tied == oracle.tied, (kind, boxes, counts)
-    assert list(seq.prefix(len(seq))) == oracle.boxes
-    assert [seq.visit_times(i).tolist() for i in range(game.n)] == oracle.visits
+        assert list(seq.prefix(len(seq))) == oracle.boxes, (kind, boxes)
+        assert [seq.visit_times(i).tolist()
+                for i in range(game.n)] == oracle.visits, (kind, boxes)
     return oracle
 
 
@@ -342,3 +349,119 @@ class TestBlockGeneration:
         assert oracle.tied  # the tie exists, beyond what the payoffs need
         seq.ensure_length(400)
         assert seq.tied
+
+    # exact ties: t and alpha are chosen so that the indices are dyadic
+    # rationals, exact in floating point. Box 0 (q = 1/2) starts at 1/4 and
+    # box 1 (q = 1/4) at 1/16, so box 0's third index equals box 1's first.
+    DYADIC = SearchGame(t=(1.0, 6.0), alpha=(0.5, 0.75))
+    HALVES = HidingStrategy((0.5, 0.5))
+
+    def test_exact_counter_at_p0(self):
+        # against p0 all n indices tie by design; where they tie exactly in
+        # floating point, the merge takes them lower box first, as the
+        # one-step rule does, and sets `tied`
+        rng = np.random.default_rng(86)
+        for n in (2, 3, 5, 8):
+            while True:
+                game = sample_game(SCHEMES["varied"], n, rng)
+                start = p0(game)
+                indices = {pi * ai / ti
+                           for pi, ai, ti in zip(start.p, game.alpha, game.t)}
+                if len(indices) == 1:
+                    break
+            oracle = _replay(game, start, None, _payoff_requests(game, rng))
+            assert oracle.tied and oracle.boxes[:n] == list(range(n))
+
+    def test_exact_tie_at_the_cut(self):
+        # the request ends on box 0's third search, whose index equals box
+        # 1's first; box 1 is higher, so its tied search stays unrealized
+        oracle = _replay(self.DYADIC, self.HALVES, None, [("visits", 0, 3)])
+        assert oracle.tied and oracle.boxes == [0, 0, 0]
+        # the next request starts with that search
+        oracle = _replay(self.DYADIC, self.HALVES, None,
+                         [("visits", 0, 3), ("visits", 0, 4)])
+        assert oracle.boxes == [0, 0, 0, 1, 0]
+        # asking for box 1's first search takes box 0's tied one before it
+        oracle = _replay(self.DYADIC, self.HALVES, None, [("visits", 1, 1)])
+        assert oracle.tied and oracle.boxes == [0, 0, 0, 1]
+
+    def test_last_needed_searches_tie(self):
+        # both boxes' last needed searches have index 1/16: the request
+        # ends with the higher box's, after the lower box's
+        oracle = _replay(self.DYADIC, self.HALVES, None,
+                         [("visits", [0, 1], [3, 1]),
+                          ("visits", [1, 0], [2, 5])])
+        assert oracle.tied and oracle.boxes[:4] == [0, 0, 0, 1]
+        game = SearchGame(t=(1.0, 1.0, 1.0), alpha=(0.5, 0.5, 0.5))
+        oracle = _replay(game, p0(game), None,
+                         [("visits", [0, 2], [2, 2]), ("visits", [1], [4])])
+        assert oracle.boxes[:6] == [0, 1, 2, 0, 1, 2]
+
+    def test_requests_mid_stream(self):
+        # each request starts where the last one left the driver: inside
+        # a run of one box, just before an exact tie, and right after one
+        requests = [("length", 1), ("visits", 1, 1), ("length", 5),
+                    ("visits", [0, 1], [6, 2]), ("visits", 0, 7),
+                    ("length", 40), ("visits", [1, 0], [9, 30])]
+        oracle = _replay(self.DYADIC, self.HALVES, None, requests)
+        assert oracle.tied
+        rng = np.random.default_rng(88)
+        for n in (3, 8):
+            game = sample_game(SCHEMES["varied"], n, rng)
+            p = _random_p(rng, n)
+            requests = [("length", int(rng.integers(1, 40)))]
+            requests += [("visits", int(rng.integers(n)),
+                          int(rng.integers(1, 60))) for _ in range(6)]
+            _replay(game, p, None, requests + _payoff_requests(game, rng))
+            _replay(game, p0(game), TieOrdering.identity(n), requests)
+
+    def test_request_wider_than_the_block_cap(self, monkeypatch):
+        # box 0's index falls by 1e-4 per search, so the request's streams
+        # would exceed the cap: it goes block by block
+        merges = []
+        merge = _GittinsDriver._merge
+
+        def counted(self, steps, need):
+            block, done = merge(self, steps, need)
+            merges.append(len(block.boxes))
+            return block, done
+
+        monkeypatch.setattr(_GittinsDriver, "_merge", counted)
+        game = SearchGame(t=(1.0, 2.0), alpha=(1e-4, 0.5))
+        requests = [("visits", [0, 1], [3 * _MAX_WIDTH, 2]),
+                    ("length", 4 * _MAX_WIDTH)]
+        for order in (None, TieOrdering((1, 0))):
+            merges.clear()
+            _replay(game, HidingStrategy((0.5, 0.5)), order, requests)
+            # about one block of box 0 per cap, with box 1's few searches
+            assert len(merges) >= 4 and max(merges) < _MAX_WIDTH + 40
+
+    def test_column_request_is_one_merge(self, monkeypatch):
+        # a best response's column on an n = 8 game, at p0 (where some
+        # indices tie exactly) and at an interior p: every request is one
+        # merge, with no search left to the one-step rule
+        calls = {"merge": 0, "step": 0, "request": 0}
+        merge, step = _GittinsDriver._merge, _GittinsDriver.step
+        ensure_visits = SearchSequence.ensure_visits
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(_GittinsDriver, "_merge", counted("merge", merge))
+        monkeypatch.setattr(_GittinsDriver, "step", counted("step", step))
+        monkeypatch.setattr(SearchSequence, "ensure_visits",
+                            counted("request", ensure_visits))
+        rng = np.random.default_rng(87)
+        game = sample_game(SCHEMES["varied"], 8, rng)
+        for p, tied in ((p0(game), True), (_random_p(rng, 8), False)):
+            seq = gittins_sequence(game, p)
+            calls.update(merge=0, step=0, request=0)
+            seq.ensure_visits(range(8), [d + 1 for d in _first_depths(game)])
+            assert calls == {"merge": 1, "step": 0, "request": 1}
+            assert seq.tied == tied
+            payoff_column(game, seq)
+            assert calls["merge"] == calls["request"] - 1
+            assert calls["step"] == 0

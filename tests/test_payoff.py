@@ -36,7 +36,7 @@ from boxsearch.errors import (
     InvalidMixture,
     NoCycleDetected,
 )
-from boxsearch.gittins import TieOrdering, from_pattern
+from boxsearch.gittins import TieOrdering, _stream_params, from_pattern
 from boxsearch.model import per_game_seed
 from boxsearch.payoff import (
     DEPTH_CAP,
@@ -283,12 +283,12 @@ class TestBitIdentity:
         game = sample_game(SCHEMES["varied"], 4, 95)
 
         def kept():
-            return [d for d in (_q_tables, _series_plan)
+            return [d for d in (_q_tables, _series_plan, _stream_params)
                     if d.__wrapped__ in game._derived]
 
         payoff(game, 0, gittins_sequence(game, p0(game)))
         assert _q_tables(game)[0].size > 0 and _series_plan(game).tail.size
-        assert kept() == [_q_tables, _series_plan]
+        assert kept() == [_q_tables, _series_plan, _stream_params]
         for run in (solve, p0_optimality):
             run(game)
             assert kept() == []

@@ -98,6 +98,23 @@ class TestSolve:
         assert sol.theta == (1.0,)
         assert sol.sequences[0].prefix(3) == (0, 0, 0)
 
+    def test_integer_times_solve_as_floats(self):
+        # integer times and probabilities are stored as floats, so they
+        # reach the float64 visit-time buffers and give the float game's
+        # solve and p0 test bit for bit
+        ints = SearchGame(t=(1, 2), alpha=(0.3, 0.7))
+        floats = SearchGame(t=(1.0, 2.0), alpha=(0.3, 0.7))
+        assert ints.t == (1.0, 2.0) and all(type(v) is float for v in ints.t)
+        a, b = solve(ints), solve(floats)
+        assert (a.L, a.U, a.iterations, a.p_star, a.theta) == (
+            b.L, b.U, b.iterations, b.p_star, b.theta)
+        assert a.termination is Termination.CONVERGED
+        assert p0_optimality(ints).v_D == p0_optimality(floats).v_D
+        perfect = SearchGame(t=(1, 1), alpha=(1, 0.5), allow_perfect=True)
+        assert perfect.alpha == (1.0, 0.5)
+        assert solve(perfect).U == solve(SearchGame(
+            t=(1.0, 1.0), alpha=(1.0, 0.5), allow_perfect=True)).U
+
     def test_near_perfect_second_box(self):
         # alpha_2 -> 1 proxy for the perfect-box game: the index-tie
         # equation p*alpha*(1-alpha) = 1-p at alpha=0.5 gives p = 0.8
