@@ -8,16 +8,29 @@ the game value from above, since the searcher is restricted. Kelley's
 method would query the Gittins best response at p_k itself, which can
 lie on the boundary of the simplex, where a response need not search
 every box. Here the query point is smoothed (Wentges 1997):
-q = lambda p_k + (1 - lambda) p_best, where the stability center p_best
-is the point with the best lower bound L = u(p_best) so far, starting at
-p0. Every query point is interior, so every response searches every box
-and pays finitely against each. A response that cuts off (p_k, v_k) is
-stored as a new column. One that does not (a mispricing) still lifts L
-by at least lambda (v_k - L), by concavity of u, and the query is
-repeated nearer p_k. Iteration stops once U_k/L - 1 < epsilon, with U_k
-the LP value plus the worst bracket half-width; p_best is the returned
-hiding strategy, and the searcher's optimal mixture comes from the final
-LP's duals and mixes at most n sequences.
+q = lambda p_k + (1 - lambda) p_best with lambda = 0.3, where the
+stability center p_best is the point with the best lower bound
+L = u(p_best) so far, starting at p0. Every query point is interior, so
+every response searches every box and pays finitely against each. A
+response that cuts off (p_k, v_k) is stored as a new column. One that
+does not (a mispricing) still lifts L by at least lambda (v_k - L), by
+concavity of u, and the query is repeated nearer p_k. Iteration stops
+once U_k/L - 1 < epsilon, with U_k the LP value plus the worst bracket
+half-width; p_best is the returned hiding strategy, and the searcher's
+optimal mixture comes from the final LP's duals and mixes at most n
+sequences.
+
+The first LP has n columns: the sigma-deterministic counters to p0 for
+the n rotations sigma of (0, ..., n-1). Each searches every box once, in
+the order sigma, and then faces the same indices, so unless a later
+index tie lets the ordering matter again they share one tail and
+u(i, sigma) = alpha_i P_sigma(i) + D_i, with P_sigma(i) the end of box
+i's first search. Only the identity-ordered counter is realized; the
+other columns are its column shifted by alpha_i (P_sigma(i) -
+P_identity(i)), with its bracket half-widths. On cyclic games, and when
+that counter met a tie, every rotation is evaluated directly. A counter
+whose column was shifted is realized only if the final mixture uses it,
+and the certificate brackets it from its own series.
 
 A separate finite test decides whether the heuristic strategy p0 is
 exactly optimal: p0 is optimal in the full game if and only if it is
@@ -62,7 +75,7 @@ _PRICE_REL_TOL = 1e-12
 # the solve queries best responses at weight p_k + (1 - weight) p_best:
 # first at _LAMBDA, then after each mispricing at the next weight, and
 # last at p_k itself when p_k is interior
-_LAMBDA = 0.5
+_LAMBDA = 0.3
 _QUERY_WEIGHTS = (_LAMBDA, 0.95, 0.999)
 
 
@@ -179,20 +192,47 @@ def _p0_counters(game: SearchGame,
     return [gittins_sequence(game, start, sigma) for sigma in orderings]
 
 
+def _p0_column_model(game: SearchGame, reference: SearchSequence,
+                     values: np.ndarray):
+    """sigma -> u(., sigma) for the sigma counters to p0 that share the
+    tail of reference, an untied counter on a game that is not cyclic,
+    whose payoffs are values: u(i, sigma) = alpha_i P_sigma(i) + D_i."""
+    alpha = np.asarray(game.alpha)
+    shared = values - alpha * _completion_times(game, reference.prefix(game.n))
+    return lambda sigma: alpha * _completion_times(game, sigma) + shared
+
+
+def _seed_columns(
+    game: SearchGame,
+) -> tuple[list[SearchSequence], np.ndarray, float]:
+    """The n rotation counters to p0, a matrix whose first n columns hold
+    their midpoint payoffs, and the worst bracket half-width among them.
+    The columns of all but the first are shifted from its column, as the
+    module docstring says, unless the game is cyclic or it met a tie."""
+    orderings = initial_orderings(game.n)
+    sequences = _p0_counters(game, orderings)
+    reference = sequences[0]
+    mat = np.empty((game.n, 2 * game.n))
+    values, worst_half = _column_values(game, reference)
+    mat[:, 0] = values
+    if game.cyclic is None and not reference.tied:
+        column_of = _p0_column_model(game, reference, values)
+        for k, o in enumerate(orderings[1:], 1):
+            mat[:, k] = column_of(o.sigma)
+    else:
+        for k, seq in enumerate(sequences[1:], 1):
+            mat[:, k], half = _column_values(game, seq)
+            worst_half = max(worst_half, half)
+    return sequences, mat, worst_half
+
+
 def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     """Run the smoothed cutting-plane solve to an epsilon-certified value
     bracket."""
     cfg = config or SolveConfig()
-    sequences = _p0_counters(game, initial_orderings(game.n))
     # column k holds the payoffs of sequences[k]; the LP reads a view
-    mat = np.empty((game.n, 2 * game.n))
-    stored = set()
-    worst_half = 0.0
-    for k, seq in enumerate(sequences):
-        values, half = _column_values(game, seq)
-        mat[:, k] = values
-        stored.add(values.tobytes())
-        worst_half = max(worst_half, half)
+    sequences, mat, worst_half = _seed_columns(game)
+    stored = {mat[:, k].tobytes() for k in range(len(sequences))}
 
     # the stability center: the best lower-bound point queried so far
     p_best = p0(game)
@@ -322,14 +362,14 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     u_p0 = expected_payoff(game, start, reference)
     if reference.tied:
         return _p0_test_exhaustive(game)
-    values, _ = _column_values(game, reference)
+    column_of = _p0_column_model(
+        game, reference, _column_values(game, reference)[0])
     alpha = np.asarray(game.alpha)
-    shared = values - alpha * _completion_times(game, reference.prefix(game.n))
 
     orderings = initial_orderings(game.n)
     mat = np.empty((game.n, 2 * game.n))
     for k, o in enumerate(orderings):
-        mat[:, k] = alpha * _completion_times(game, o.sigma) + shared
+        mat[:, k] = column_of(o.sigma)
     stored = {o.sigma for o in orderings}
     lp = None
     while True:
@@ -339,7 +379,7 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
         sigma = _smith_order(game, p * alpha)
         if sigma in stored:
             break
-        column = alpha * _completion_times(game, sigma) + shared
+        column = column_of(sigma)
         if p @ column >= lp.v * (1.0 - _PRICE_REL_TOL):
             break
         mat = _store_column(mat, len(orderings), column)

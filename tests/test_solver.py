@@ -24,8 +24,9 @@ from boxsearch import (
     value_bounds,
 )
 from boxsearch.errors import BoxNeverSearched, InvalidMixture
-from boxsearch.gittins import from_pattern
+from boxsearch.gittins import _GittinsDriver, from_pattern, initial_orderings
 from boxsearch.lp import solve_hider_lp
+from boxsearch.payoff import payoff_column
 from boxsearch.solver import test_p0_optimality as p0_optimality
 from boxsearch.model import per_game_seed
 from boxsearch.solver import (
@@ -35,6 +36,7 @@ from boxsearch.solver import (
     _mixture_certificate,
     _p0_counters,
     _p0_test_exhaustive,
+    _seed_columns,
     _smith_order,
     write_trace,
 )
@@ -214,8 +216,8 @@ class TestSolve:
         sol = solve(game, SolveConfig(epsilon=1e-13))
         assert sol.termination is Termination.STALLED
         assert sol.termination.value == "stalled"  # as the CLI prints it
-        assert sol.iterations == 5 < SolveConfig().max_iterations
-        assert len(sol.sequences) == 6
+        assert sol.iterations == 6 < SolveConfig().max_iterations
+        assert len(sol.sequences) == 7
         final = sol.trace[-1]
         assert final.added_sequence is None
         assert final.mispriced == len(_QUERY_WEIGHTS) + 1
@@ -251,6 +253,75 @@ class TestSolve:
         for bad in (0.0, -1e-6, math.nan, math.inf):
             with pytest.raises(ValueError):
                 SolveConfig(epsilon=bad)
+
+
+class TestSeedColumns:
+    """The first n columns of a solve: one realized counter, the other
+    rotations shifted from its column."""
+
+    @pytest.mark.parametrize("game", [
+        *(sample_game(SCHEMES["varied"], n, per_game_seed(83, n))
+          for n in (2, 3, 5, 8)),
+        _ruckle_game(0.5),
+    ])
+    def test_shifted_columns_match_direct(self, game):
+        sequences, mat, worst_half = _seed_columns(game)
+        assert game.cyclic is None and not sequences[0].tied
+        # the shifted rotations stay unrealized, with no memoized column
+        assert all(len(seq) == 0 and seq._column is None
+                   for seq in sequences[1:])
+        direct = _p0_counters(game, initial_orderings(game.n))
+        for k, seq in enumerate(direct):
+            values, half = _column_values(game, seq)
+            assert half <= worst_half
+            assert np.abs(mat[:, k] - values).max() <= worst_half
+        assert not any(seq.tied for seq in direct)
+
+    @pytest.mark.parametrize("idx, shifted_used", [(8, 0), (3, 1)])
+    def test_solve_realizes_one_rotation_counter(self, monkeypatch, idx,
+                                                 shifted_used):
+        # a sigma counter at p0 is the only generator with a forced
+        # prefix; record whose generator runs
+        realized = set()
+        merge, step = _GittinsDriver._merge, _GittinsDriver.step
+
+        def recorded(fn):
+            def wrapper(gen, *args):
+                if gen.forced is not None:
+                    realized.add(gen.forced)
+                return fn(gen, *args)
+            return wrapper
+
+        monkeypatch.setattr(_GittinsDriver, "_merge", recorded(merge))
+        monkeypatch.setattr(_GittinsDriver, "step", recorded(step))
+        game = sample_game(SCHEMES["varied"], 8, per_game_seed(83, idx))
+        sol = solve(game, SolveConfig(epsilon=1e-6))
+        assert sol.termination is Termination.CONVERGED
+        # the certificate realizes a shifted rotation only when the final
+        # mixture uses it, and brackets it from its own series
+        orderings = initial_orderings(game.n)
+        used = {o.sigma for o, w in zip(orderings, sol.theta) if w > 0}
+        assert realized == {orderings[0].sigma} | used
+        assert len(used - {orderings[0].sigma}) == shifted_used
+        fresh = _p0_counters(game, orderings)
+        for o, seq, new in zip(orderings, sol.sequences, fresh):
+            if o.sigma in used:
+                assert (payoff_column(game, seq).upper.tobytes()
+                        == payoff_column(game, new).upper.tobytes())
+            elif o.sigma != orderings[0].sigma:
+                assert len(seq) == 0
+
+    def test_cyclic_and_tied_games_evaluate_every_counter(self):
+        cyclic = make_cyclic_game(0.3, (1, 2, 3, 1), (1.0, 2.0, 3.0, 1.5))
+        tied = SearchGame(t=(1.0,) * 3, alpha=(0.4,) * 3)
+        for game in (cyclic, tied):
+            sequences, mat, worst_half = _seed_columns(game)
+            assert game is cyclic or sequences[0].tied
+            for k, seq in enumerate(sequences):
+                assert seq._column is not None
+                values, half = _column_values(game, seq)
+                assert mat[:, k].tobytes() == values.tobytes()
+                assert half <= worst_half
 
 
 class TestSolveInvariants:
