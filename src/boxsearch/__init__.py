@@ -21,7 +21,6 @@ from .model import (
     SCHEMES,
     SearchGame,
     future_benefit,
-    immediate_benefit,
     load_game,
     make_cyclic_game,
     p0,

@@ -3,14 +3,11 @@
 Against a fixed hiding strategy p, an optimal search sequence always next
 searches a box of maximal index p_i (1-alpha_i)^{m_i} alpha_i / t_i, where
 m_i counts completed searches of box i. gittins_sequence() builds every
-such counter, and its tie ordering chooses the tie rule:
-
-- no ordering gives the exact counter: float indices are compared
-  directly and an exact tie goes to the lower box. Best responses use it.
-- an ordering sigma gives the sigma-deterministic counter: indices within
-  relative 1e-9 of the maximum tie, and the box earliest in sigma is
-  searched. The strategy p0 ties all n starting indices by design, so
-  against p0 the first n searches simply follow sigma.
+such counter, with one tie rule: float indices are compared exactly, and
+an exact tie goes to the box earliest in a tie ordering sigma (the
+identity for best responses). The strategy p0 ties all n starting indices
+by design; a counter to p0 starts them all at 1.0, so that tie is exact
+and its first n searches simply follow sigma.
 
 Cyclic games admit an exact integer tie rule: starting from p0, comparing
 fractions r_i/x_i (r_i = searches of box i inside the current cycle)
@@ -26,14 +23,13 @@ streams. Sequences are generated lazily, one request at a time (so many
 searches, or so many visits of some boxes), and a request is usually
 realized in one merge: each box's next indices come from one sequential
 product, a cumprod that yields exactly the floats of multiplying once per
-search, run just past the request's last search, and one stable sort
-merges the boxes' streams by index, breaking exact ties as the exact
-counter does. The one-step rule, one comparison of all indices per
-search, decides only the searches a merge cannot: near-ties of a sigma
-counter, the forced prefix at p0, and rescaling; a request deeper than
-the cap on a stream goes block by block (see _GittinsDriver). Per-box
-visit completion times are memoized so repeated payoff evaluations never
-regenerate prefixes.
+search, run just past the request's last search, and one stable sort of
+the streams laid out in sigma order merges them by index, breaking exact
+ties as the one-step rule does. That rule, one comparison of all indices
+per search, decides only rescaling; a request deeper than the cap on a
+stream goes block by block (see _GittinsDriver). Per-box visit completion
+times are memoized so repeated payoff evaluations never regenerate
+prefixes.
 """
 
 from __future__ import annotations
@@ -56,8 +52,6 @@ from .errors import (
     NumericalFailure,
 )
 from .model import HidingStrategy, SearchGame, _once_per_game, p0
-
-TIE_REL_TOL = 1e-9
 
 # the n! counters of the p0 test stop being practical above this n
 ORDERING_CAP = 8
@@ -130,19 +124,24 @@ class CycleInfo:
 
 
 class _Block(NamedTuple):
-    """One merge's searches. Visit times go to a buffer laid out box by
-    box: the search boxes[k] to slot slots[k], so box b's new visit times
-    are the slice bounds[b]:bounds[b] + counts[b], in order."""
+    """One merge's searches, by driver row (see _GittinsDriver). Visit
+    times go to a buffer laid out row by row: the search of rows[k] to
+    slot slots[k], so row r's new visit times are the slice
+    bounds[r]:bounds[r] + counts[r], in order."""
 
-    boxes: np.ndarray
+    rows: np.ndarray
     slots: np.ndarray
     bounds: list[int]
     counts: list[int]
 
 
 class _StreamParams(NamedTuple):
-    """Per-box constants of a game's index streams, kept on the game."""
+    """Per-row constants of a game's index streams, row r holding box
+    order[r] of a tie ordering (see _GittinsDriver)."""
 
+    order: tuple[int, ...]
+    box_of: np.ndarray  # order, as an array
+    rank: list[int]  # the row of each box
     t: np.ndarray
     q: np.ndarray  # 1 - alpha, the factor an index takes per search
     q_list: list[float]
@@ -152,98 +151,96 @@ class _StreamParams(NamedTuple):
 
 @_once_per_game
 def _stream_params(game: SearchGame) -> _StreamParams:
+    """The identity ordering's stream constants, kept on the game."""
     q = 1.0 - np.asarray(game.alpha)
+    rows = np.arange(game.n)
     return _StreamParams(
+        order=tuple(range(game.n)), box_of=rows, rank=list(range(game.n)),
         t=np.asarray(game.t), q=q, q_list=q.tolist(),
         log_q=[math.log1p(-a) if a < 1.0 else -math.inf for a in game.alpha],
-        rows=np.arange(game.n),
+        rows=rows,
+    )
+
+
+def _ordered_params(game: SearchGame,
+                    order: TieOrdering | None) -> _StreamParams:
+    """The stream constants with rows in the order of `order`; None is
+    the identity."""
+    params = _stream_params(game)
+    if order is None or order.sigma == params.order:
+        return params
+    box_of = np.array(order.sigma)
+    q = params.q[box_of]
+    return params._replace(
+        order=order.sigma, box_of=box_of, rank=order.rank(),
+        t=params.t[box_of], q=q, q_list=q.tolist(),
+        log_q=[params.log_q[b] for b in order.sigma],
     )
 
 
 class _GittinsDriver:
     """Generates the boxes of a Gittins sequence against p, in blocks.
 
-    Box j's upcoming indices form one sequential product: idx_j, then
-    idx_j q_j, idx_j q_j^2, ... with q_j = 1 - alpha_j. A row-wise
-    np.cumprod yields exactly the floats that multiplying the index once
-    per search would, so a merge takes those streams for every box and
-    sorts them by (-index, box): a stable sort of the box-major layout
-    puts equal indices lower box first, as the one-step rule at tol = 0
-    does. The streams are sized from the request: each runs to its first
-    index below the request's last search (or below _RESCALE_BELOW, or
-    for at most _MAX_WIDTH searches), so one merge usually realizes the
-    whole request, and a deeper one goes block by block.
+    There is one tie rule: float indices are compared exactly, and an
+    exact tie goes to the box earliest in the tie ordering. The driver
+    keeps its state in that order, row r holding box order[r], so a tie
+    goes to the lower row. Against p0 every index starts at 1.0: the
+    common factor p0_i alpha_i / t_i cancels, so the designed start tie
+    is exact and the first n searches follow the ordering.
+
+    Row r's upcoming indices form one sequential product: idx_r, then
+    idx_r q_r, idx_r q_r^2, ... with q_r = 1 - alpha of its box. A
+    row-wise np.cumprod yields exactly the floats that multiplying the
+    index once per search would, so a merge takes those streams for every
+    row and sorts them by (-index, row): a stable sort of the row-major
+    layout puts equal indices lower row first, as the one-step rule does.
+    The streams are sized from the request: each runs to its first index
+    below the request's last search (or below _RESCALE_BELOW, or for at
+    most _MAX_WIDTH searches), so one merge usually realizes the whole
+    request, and a deeper one goes block by block.
 
     The one-step rule (step) decides only the searches a merge cannot:
-    the forced prefix that pins the first searches to a given order (the
-    designed starting tie at p0), one whose index falls below
-    _RESCALE_BELOW, and at tol > 0 a near-tie, where another box's next
-    index reaches the cut v - v * tol of the emitted index v (within
-    TIE_REL_TOL) and the ordering, not the index, decides. A merge never
-    realizes a search, or a tie, that searching one box at a time would
-    not have. `tied` records whether any search after the forced prefix
-    found two or more boxes within tolerance of the maximal index, i.e.
-    whether the tie ordering ever mattered."""
+    one whose index falls below _RESCALE_BELOW. `tied` records whether any
+    search found two or more boxes at the maximal index, i.e. whether the
+    tie ordering ever mattered, except for the start tie of the first n
+    searches against p0."""
 
-    __slots__ = ("t", "q", "q_list", "log_q", "rows", "idx", "rank", "tol",
-                 "forced", "pos", "tied")
+    __slots__ = ("order", "box_of", "rank", "t", "q", "q_list", "log_q",
+                 "rows", "idx", "settled", "pos", "tied")
 
-    def __init__(self, game: SearchGame, p: HidingStrategy, rank: list[int],
-                 tol: float, forced: tuple[int, ...] | None):
-        (self.t, self.q, self.q_list, self.log_q,
-         self.rows) = _stream_params(game)
-        self.idx = [
-            pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)
+    def __init__(self, game: SearchGame, p: HidingStrategy,
+                 order: TieOrdering | None, at_p0: bool):
+        (self.order, self.box_of, self.rank, self.t, self.q, self.q_list,
+         self.log_q, self.rows) = _ordered_params(game, order)
+        self.idx = [1.0] * game.n if at_p0 else [
+            p.p[b] * game.alpha[b] / game.t[b] for b in self.order
         ]
-        self.rank = rank
-        self.tol = tol
-        self.forced = forced
+        # ties within the first `settled` searches are the designed start
+        # tie at p0, which `tied` leaves out
+        self.settled = game.n if at_p0 else 0
         self.pos = 0
         self.tied = False
 
     def step(self) -> int:
-        """The one-step rule: search a box of maximal index, breaking
-        ties within tolerance by the ordering."""
-        if self.forced is not None and self.pos < len(self.forced):
-            choice = self.forced[self.pos]
-        else:
-            idx = self.idx
-            best = max(idx)
-            if best < _RESCALE_BELOW:
-                if best <= 0.0:
-                    raise NumericalFailure("all Gittins indices are zero")
-                idx = self.idx = [v * _RESCALE for v in idx]
-                best *= _RESCALE
-            cut = best - best * self.tol
-            choice = -1
-            choice_rank = len(idx)
-            for i, v in enumerate(idx):
-                if v >= cut:
-                    if choice >= 0:
-                        self.tied = True
-                    if self.rank[i] < choice_rank:
-                        choice = i
-                        choice_rank = self.rank[i]
-        self.idx[choice] *= self.q_list[choice]
+        """The one-step rule: search the earliest row of maximal index."""
+        idx = self.idx
+        best = max(idx)
+        if best < _RESCALE_BELOW:
+            if best <= 0.0:
+                raise NumericalFailure("all Gittins indices are zero")
+            idx = self.idx = [v * _RESCALE for v in idx]
+            best *= _RESCALE
+        row = idx.index(best)
+        if self.pos >= self.settled and idx.count(best) > 1:
+            self.tied = True
+        idx[row] *= self.q_list[row]
         self.pos += 1
-        return choice
+        return self.order[row]
 
     def can_visit(self, i: int) -> bool:
         # index 0 means the box is never searched again: p_i = 0, or a
         # perfect box already searched once
-        return self.idx[i] > 0.0
-
-    def _step_due(self) -> bool:
-        """Whether the next search is one for the one-step rule."""
-        if self.forced is not None and self.pos < len(self.forced):
-            return True
-        best = max(self.idx)
-        if best < _RESCALE_BELOW:
-            return True
-        if not self.tol:
-            return False
-        cut = best - best * self.tol
-        return sum(v >= cut for v in self.idx) > 1
+        return self.idx[self.rank[i]] > 0.0
 
     def take(self, steps: int | None,
              need: list[int] | None) -> Iterator[int | _Block]:
@@ -251,36 +248,39 @@ class _GittinsDriver:
         each merge as a _Block. With `steps`, that many searches. With
         `need`, up to the search after which every box i has been
         searched need[i] more times or can never be searched again."""
+        if need is not None:
+            need = [need[b] for b in self.order]
         while (steps > 0 and max(self.idx) > 0.0 if need is None else
                any(k > 0 and v > 0.0 for k, v in zip(need, self.idx))):
-            if self._step_due():
+            if max(self.idx) < _RESCALE_BELOW:
                 box = self.step()
                 yield box
                 if need is None:
                     steps -= 1
                 else:
-                    need[box] -= 1
+                    need[self.rank[box]] -= 1
                 continue
             block, done = self._merge(steps, need)
             yield block
             if done:
                 return
             if need is None:
-                steps -= len(block.boxes)
+                steps -= len(block.rows)
             else:
                 need = [k - c for k, c in zip(need, block.counts)]
 
     def _merge(self, steps: int | None,
                need: list[int] | None) -> tuple[_Block, bool]:
-        """One block of the request, and whether it ends the request. Its
-        first search is not for the one-step rule, so it is never empty."""
+        """One block of the request, and whether it ends the request; need
+        is by row. Its first search is not for the one-step rule, so it is
+        never empty."""
         idx = self.idx
         n = len(idx)
         if need is None:
             last = ()
             width = min(steps, _MAX_WIDTH)
         else:
-            # each wanted box's last search it can still get (a perfect
+            # each wanted row's last search it can still get (a perfect
             # box has only its first), and the smallest of their indices,
             # estimated: every stream runs to its first index below it
             last = []
@@ -305,12 +305,12 @@ class _GittinsDriver:
         grid[:, 0] = idx
         grid[:, 1:] = self.q[:, None]
         streams = grid.cumprod(axis=1, out=grid)
-        # past a stream's last entry that box's next index is unknown:
+        # past a stream's last entry that row's next index is unknown:
         # only the entries above every stream's last one are merged
         floor = streams[:, -1].max()
         # the request's last search (c, h), read exactly off the streams:
-        # the smallest of the wanted boxes' last indices, at the highest
-        # box holding it, since equal indices merge lower box first
+        # the smallest of the wanted rows' last indices, at the highest
+        # row holding it, since equal indices merge lower row first
         c, h = math.inf, -1
         for i, d in last:
             v = streams.item(i, min(d, width))
@@ -325,73 +325,35 @@ class _GittinsDriver:
         else:
             chosen = streams > floor
         flat = np.flatnonzero(chosen)
-        # descending by index; stable on the box-major layout, so equal
-        # indices go to the lower box
+        # descending by index; stable on the row-major layout, so equal
+        # indices go to the lower row
         keys = -streams.ravel()[flat]
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
+        ranked = keys.argsort(kind="stable")
+        keys = keys[ranked]
         stop = len(keys) if steps is None else min(len(keys), steps)
         if ends:
-            # indices equal to c in boxes above h merge after (c, h) and
+            # indices equal to c in rows above h merge after (c, h) and
             # stay unrealized
-            while flat[order[stop - 1]] // (width + 1) > h:
+            while flat[ranked[stop - 1]] // (width + 1) > h:
                 stop -= 1
-        boxes = flat[order[:stop]] // (width + 1)
-        counts = np.bincount(boxes, minlength=n)
-        upcoming = streams[self.rows, counts].tolist()
-        cut_short = False
-        if not self.tol:
-            # an exact tie is two equal indices next to each other in the
-            # merge, or an unrealized index equal to the last one
-            if not self.tied:
-                self.tied = (bool((keys[1:stop] == keys[:stop - 1]).any())
-                             or -keys[stop - 1] in upcoming)
-        else:
-            first = self._before_near_tie(keys, boxes, upcoming)
-            if first < stop:
-                cut_short = True
-                stop = first
-                boxes = boxes[:stop]
-                counts = np.bincount(boxes, minlength=n)
-                upcoming = streams[self.rows, counts].tolist()
-        self.idx = upcoming
+        rows = flat[ranked[:stop]] // (width + 1)
+        counts = np.bincount(rows, minlength=n)
+        self.idx = streams[self.rows, counts].tolist()
+        # an exact tie is two equal indices next to each other in the
+        # merge, or an unrealized index equal to the last one; the start
+        # tie at p0 is not one
+        k = max(self.settled - self.pos, 0)
+        if not self.tied and k < stop:
+            self.tied = (bool((keys[k + 1:stop] == keys[k:stop - 1]).any())
+                         or -keys[stop - 1] in self.idx)
         self.pos += stop
         counts = counts.tolist()
-        # each box's slice of the by-box layout holds all its merged
+        # each row's slice of the row-major layout holds all its merged
         # entries, realized or not
         merged = counts if stop == len(flat) else chosen.sum(axis=1).tolist()
         bounds = list(itertools.accumulate(merged, initial=0))
-        block = _Block(boxes, order[:stop], bounds, counts)
-        return block, (ends or stop == steps) and not cut_short
-
-    def _before_near_tie(self, keys: np.ndarray, boxes: np.ndarray,
-                         upcoming: list[float]) -> int:
-        """The searches of a merge before its first near-tie, which the
-        one-step rule takes; keys are the negated indices in merge order.
-        While one box runs in the merge, the largest index of any other
-        box is the entry after the run; the cut of each emitted index only
-        falls along the run, so a run holds a tie only if its last search
-        ties with that entry, and its ties end the run. On the negated
-        keys, index v's cut v - v * tol is key k's k - k * tol."""
-        ends = np.flatnonzero(boxes[1:] != boxes[:-1])
-        tails = keys[ends]
-        tied = np.flatnonzero(keys[ends + 1] <= tails - tails * self.tol)
-        if len(tied):
-            end = int(ends[tied[0]])
-            head = -keys[end + 1]
-        else:
-            # the last run's next entry lies past the block: the largest
-            # next index of the other boxes
-            end = len(boxes) - 1
-            head = max((v for i, v in enumerate(upcoming) if i != boxes[end]),
-                       default=-math.inf)
-        first = end + 1
-        while first > 0 and boxes[first - 1] == boxes[end]:
-            v = -keys[first - 1]
-            if head < v - v * self.tol:
-                break
-            first -= 1
-        return first if first <= end else len(boxes)
+        block = _Block(rows, ranked[:stop], bounds, counts)
+        return block, ends or stop == steps
 
 
 class SearchSequence:
@@ -408,12 +370,11 @@ class SearchSequence:
 
     __slots__ = (
         "game", "_boxes", "_visits", "_counts", "_elapsed", "_driver",
-        "cycle", "degenerate_support", "_column",
+        "cycle", "_column",
     )
 
     def __init__(self, game: SearchGame, driver: _GittinsDriver | None = None,
-                 cycle: CycleInfo | None = None,
-                 degenerate_support: bool = False):
+                 cycle: CycleInfo | None = None):
         self.game = game
         self._boxes: list[int] = []
         # box i's visit times are _visits[i][:_counts[i]]
@@ -422,7 +383,6 @@ class SearchSequence:
         self._elapsed = 0.0
         self._driver = driver
         self.cycle = cycle
-        self.degenerate_support = degenerate_support
         # the payoff column, memoized by payoff.payoff_column
         self._column = None
 
@@ -446,24 +406,24 @@ class SearchSequence:
     def _append_block(self, block: _Block) -> None:
         """Append a merged block; one cumsum from the elapsed time gives
         the same visit times as adding them one at a time."""
-        boxes, slots, bounds, counts = block
-        times = np.empty(len(boxes) + 1)
+        rows, slots, bounds, counts = block
+        driver = self._driver
+        times = np.empty(len(rows) + 1)
         times[0] = self._elapsed
-        times[1:] = self._driver.t[boxes]
+        times[1:] = driver.t[rows]
         times.cumsum(out=times)
         self._elapsed = float(times[-1])
-        self._boxes.extend(boxes.tolist())
-        by_box = np.empty(bounds[-1])
-        by_box[slots] = times[1:]
-        for b, k in enumerate(counts):
+        self._boxes.extend(driver.box_of[rows].tolist())
+        by_row = np.empty(bounds[-1])
+        by_row[slots] = times[1:]
+        for b, start, k in zip(driver.order, bounds, counts):
             if not k:
                 continue
-            start = bounds[b]
             count = self._counts[b]
             if count:
-                self._reserve(b, k)[count:count + k] = by_box[start:start + k]
+                self._reserve(b, k)[count:count + k] = by_row[start:start + k]
             else:
-                self._visits[b] = by_box[start:start + k]
+                self._visits[b] = by_row[start:start + k]
             self._counts[b] = count + k
 
     def _realize(self, steps: int | None, need: list[int] | None) -> None:
@@ -503,9 +463,10 @@ class SearchSequence:
 
     @property
     def tied(self) -> bool:
-        """Whether index generation has met a tie that the ordering had to
-        break after the forced prefix, in the searches realized so far.
-        False for a sequence that does not extend from an index stream."""
+        """Whether index generation has met an exact tie that the ordering
+        had to break, in the searches realized so far, apart from the
+        start tie of the first n searches against p0. False for a
+        sequence that does not extend from an index stream."""
         return self._driver is not None and self._driver.tied
 
     def can_visit_more(self, i: int) -> bool:
@@ -595,41 +556,32 @@ def gittins_sequence(
 ) -> SearchSequence:
     """Gittins counter to p, with its cycle identified on cyclic games.
 
-    Without `order` this is the exact counter: indices are compared
-    directly and an exact tie goes to the lower box. Whatever comes out is
-    a Gittins counter of the rounded index process, which is all a best
-    response needs. With `order` it is the sigma-deterministic counter:
-    indices within TIE_REL_TOL tie and go to the box earliest in sigma,
-    and when p is p0 (within relative 1e-12) the first n searches follow
-    sigma, since all starting indices tie there by design.
+    Float indices are compared exactly, and an exact tie goes to the box
+    earliest in `order`, by default the identity: best responses use it.
+    Against p0 all starting indices tie by design, so the first n searches
+    follow the ordering; a counter to p0 (p equal to p0(game)) starts
+    every index at 1.0, which makes that tie exact, and its later indices
+    are the exact products q_i^m.
 
-    On a cyclic game the sequence at p0 is one cycle of the integer rule
-    from the first search; against any other full-support p the cycle is
-    the first window of x_hat searches visiting each box i exactly x_i
-    times. Boxes with p_i = 0 are never searched; the sequence is then
-    flagged degenerate_support and has no cycle. A one-box game has one
+    On a cyclic game the sequence at p0 (within relative 1e-12) is one
+    cycle of the integer rule from the first search; against any other
+    full-support p the cycle is the first window of x_hat searches
+    visiting each box i exactly x_i times. Boxes with p_i = 0 are never
+    searched, and the sequence then has no cycle. A one-box game has one
     sequence, the pattern (0,).
     """
     if p.n != game.n:
         raise InvalidHidingStrategy("strategy length differs from box count")
     if game.n == 1:
         return from_pattern(game, (0,))
-    exact = order is None
-    at_p0 = all(
-        abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, p0(game).p)
-    )
-    if game.cyclic is not None and at_p0:
-        if exact:
-            order = TieOrdering.identity(game.n)
+    start = p0(game)
+    if game.cyclic is not None and all(
+        abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, start.p)
+    ):
+        order = order or TieOrdering.identity(game.n)
         return from_pattern(game, _integer_rule_pattern(game, order))
-    if exact:
-        driver = _GittinsDriver(game, p, list(range(game.n)), 0.0, None)
-    else:
-        driver = _GittinsDriver(game, p, order.rank(), TIE_REL_TOL,
-                                order.sigma if at_p0 else None)
-    seq = SearchSequence(
-        game, driver=driver, degenerate_support=not p.full_support
-    )
+    driver = _GittinsDriver(game, p, order, p == start)
+    seq = SearchSequence(game, driver=driver)
     if game.cyclic is not None and p.full_support:
         seq.cycle = _find_cycle(seq)
         if seq.cycle is not None:

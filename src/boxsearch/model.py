@@ -281,11 +281,6 @@ def future_benefit(game: SearchGame, i: int) -> float:
     return -math.log1p(-ai) / game.t[i]
 
 
-def immediate_benefit(game: SearchGame, i: int) -> float:
-    """alpha_i/t_i: detection probability per unit time of searching box i."""
-    return game.alpha[i] / game.t[i]
-
-
 def sample_game(scheme: SampleScheme, n: int, seed: Seed) -> SearchGame:
     """Draw alpha_i ~ U(alpha_low, alpha_high), t_i ~ U(t_low, t_high).
 

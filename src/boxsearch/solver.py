@@ -234,9 +234,10 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     sequences, mat, worst_half = _seed_columns(game)
     stored = {mat[:, k].tobytes() for k in range(len(sequences))}
 
-    # the stability center: the best lower-bound point queried so far
+    # the stability center: the best lower-bound point queried so far;
+    # the identity counter to p0 is the best response there
     p_best = p0(game)
-    lower = expected_payoff(game, p_best, gittins_sequence(game, p_best)).lower
+    lower = expected_payoff(game, p_best, sequences[0]).lower
     trace: list[IterationRecord] = []
     lp: LpSolution | None = None
     u: np.ndarray | None = None
@@ -258,8 +259,6 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         for weight in weights:
             q = weight * p_k + (1.0 - weight) * p_best.as_array()
             query = HidingStrategy(tuple((q / q.sum()).tolist()))
-            # the exact counter: near the optimum indices tie for real, and
-            # a tolerant tie-break could pick a sub-maximal box, overstating L
             response = gittins_sequence(game, query)
             bracket = expected_payoff(game, query, response)
             if bracket.lower > lower:
@@ -358,7 +357,7 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     if game.cyclic is not None:
         return _p0_test_exhaustive(game)
     start = p0(game)
-    reference = gittins_sequence(game, start, TieOrdering.identity(game.n))
+    reference = gittins_sequence(game, start)
     u_p0 = expected_payoff(game, start, reference)
     if reference.tied:
         return _p0_test_exhaustive(game)

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import BoxSearchError, EmptyGame
-from .gittins import TieOrdering, gittins_sequence
+from .gittins import gittins_sequence
 from .model import (
     SCHEMES,
     HidingStrategy,
@@ -38,7 +38,9 @@ from .solver import SolveConfig, solve, test_p0_optimality
 BATCH_CSV_VERSION = "boxsearch-batch-v1"
 RUCKLE_CSV_VERSION = "boxsearch-ruckle-v1"
 
-_RUCKLE_TIE_REL_TOL = 1e-6
+# extract_tie_index locates the search h where p*'s two indices meet, to
+# this relative tolerance, since p* itself comes from a float formula
+_RUCKLE_H_REL_TOL = 1e-6
 _RUCKLE_MAX_H = 512
 
 
@@ -173,7 +175,7 @@ def _ruckle_tie_strategy(alpha: float, h: int) -> HidingStrategy:
 
 
 def _ruckle_value(game: SearchGame, p: HidingStrategy) -> float:
-    seq = gittins_sequence(game, p, TieOrdering.identity(2))
+    seq = gittins_sequence(game, p)
     return expected_payoff(game, p, seq).midpoint
 
 
@@ -203,7 +205,7 @@ def extract_tie_index(alpha: float, p_star_1: float) -> int:
     i2 = 1.0 - p_star_1
     idx = p_star_1 * alpha
     for r in range(1, _RUCKLE_MAX_H + 1):
-        if abs(idx - i2) <= _RUCKLE_TIE_REL_TOL * max(idx, i2):
+        if abs(idx - i2) <= _RUCKLE_H_REL_TOL * max(idx, i2):
             return r
         idx *= 1.0 - alpha
     raise BoxSearchError(

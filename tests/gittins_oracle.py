@@ -2,21 +2,26 @@
 
 This is how boxsearch generated Gittins sequences before it realized
 them in blocks: every search re-reads all current indices, takes the
-largest (ties within the tolerance go to the box earliest in the tie
-ordering, and set `tied` once the forced prefix is over), multiplies the
-chosen box's index by 1 - alpha, and adds the search time to the clock.
-The largest index is rescaled by 2**600 once it falls below 2**-600.
-Block generation must reproduce its boxes, visit times, `tied` flag and
-length after every request exactly. replay_check is a second, stateless
-reference: it recomputes every index from its closed form.
+largest (an exact tie goes to the box earliest in the tie ordering, and
+sets `tied` unless it is the start tie of the first n searches against
+p0, where every index starts at 1.0), multiplies the chosen box's index
+by 1 - alpha, and adds the search time to the clock. The largest index
+is rescaled by 2**600 once it falls below 2**-600. Block generation must
+reproduce its boxes, visit times, `tied` flag and length after every
+request exactly. replay_check is a second, stateless reference: it
+recomputes every index from its closed form.
 """
 
 from boxsearch.errors import InsufficientPrefix, NumericalFailure
-from boxsearch.gittins import TIE_REL_TOL, TieOrdering
+from boxsearch.gittins import TieOrdering
 from boxsearch.model import p0
 
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE = 2.0 ** 600
+
+# replay_check's closed-form pow indices and the generator's sequential
+# products round differently, so a choice may trail the maximum by this
+_REPLAY_SLACK = 1e-9
 
 
 class OracleSequence:
@@ -25,17 +30,14 @@ class OracleSequence:
     time."""
 
     def __init__(self, game, p, order: TieOrdering | None = None):
-        exact = order is None
-        if exact:
-            order = TieOrdering.identity(game.n)
-        at_p0 = all(
-            abs(pi - bi) <= 1e-12 * bi for pi, bi in zip(p.p, p0(game).p)
-        )
+        order = order or TieOrdering.identity(game.n)
+        at_p0 = p == p0(game)
         self.game = game
-        self.idx = [pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)]
+        self.idx = [1.0] * game.n if at_p0 else [
+            pi * ai / ti for pi, ai, ti in zip(p.p, game.alpha, game.t)
+        ]
         self.rank = order.rank()
-        self.tol = 0.0 if exact else TIE_REL_TOL
-        self.forced = order.sigma if at_p0 and not exact else ()
+        self.settled = game.n if at_p0 else 0
         self.tied = False
         self.boxes: list[int] = []
         self.visits: list[list[float]] = [[] for _ in range(game.n)]
@@ -45,23 +47,19 @@ class OracleSequence:
         return len(self.boxes)
 
     def _step(self) -> None:
-        if len(self.boxes) < len(self.forced):
-            choice = self.forced[len(self.boxes)]
-        else:
-            best = max(self.idx)
-            if best < _RESCALE_BELOW:
-                if best <= 0.0:
-                    raise NumericalFailure("all Gittins indices are zero")
-                self.idx = [v * _RESCALE for v in self.idx]
-                best *= _RESCALE
-            cut = best - best * self.tol
-            choice, choice_rank = -1, len(self.idx)
-            for i, v in enumerate(self.idx):
-                if v >= cut:
-                    if choice >= 0:
-                        self.tied = True
-                    if self.rank[i] < choice_rank:
-                        choice, choice_rank = i, self.rank[i]
+        best = max(self.idx)
+        if best < _RESCALE_BELOW:
+            if best <= 0.0:
+                raise NumericalFailure("all Gittins indices are zero")
+            self.idx = [v * _RESCALE for v in self.idx]
+            best *= _RESCALE
+        choice, choice_rank = -1, len(self.idx)
+        for i, v in enumerate(self.idx):
+            if v == best:
+                if choice >= 0 and len(self.boxes) >= self.settled:
+                    self.tied = True
+                if self.rank[i] < choice_rank:
+                    choice, choice_rank = i, self.rank[i]
         self.idx[choice] *= 1.0 - self.game.alpha[choice]
         self.boxes.append(choice)
         self.elapsed += self.game.t[choice]
@@ -87,7 +85,7 @@ def gittins_index(p_i: float, alpha_i: float, t_i: float, m_i: int) -> float:
     return p_i * (1.0 - alpha_i) ** m_i * alpha_i / t_i
 
 
-def replay_check(game, p, seq, rel_tol: float = TIE_REL_TOL,
+def replay_check(game, p, seq, rel_tol: float = _REPLAY_SLACK,
                  length: int | None = None) -> bool:
     """Verify each realized choice attains the maximal index within rel_tol.
 

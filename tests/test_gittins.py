@@ -89,7 +89,7 @@ class TestGittinsSequence:
         game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 0.5))
         seq = gittins_sequence(game, HidingStrategy((1.0, 0.0)))
         assert seq.prefix(5) == (0, 0, 0, 0, 0)
-        assert seq.degenerate_support
+        assert not seq.can_visit_more(1)
 
     def test_replay_on_sampled_games(self):
         rng = np.random.default_rng(21)
@@ -123,6 +123,40 @@ class TestGittinsSequence:
             rotated = gittins_sequence(game, p, TieOrdering(sigma))
             relabeled = tuple((b + shift) % 3 for b in base.prefix(30))
             assert rotated.prefix(30) == relabeled
+
+    def test_ordering_relabels_boxes(self):
+        # the counter with tie ordering sigma is the identity counter of
+        # the game with its boxes listed in sigma's order, relabeled back:
+        # on sampled games, and on games whose indices tie exactly again
+        # and again (identical boxes, repeated alphas, dyadic indices)
+        rng = np.random.default_rng(23)
+        cases = []
+        for n in (2, 3, 5, 8):
+            game = sample_game(SCHEMES["varied"], n, rng)
+            cases += [(game, p0(game)), (game, _random_p(rng, n))]
+        for game in (SearchGame(t=(1.0,) * 3, alpha=(0.4,) * 3),
+                     SearchGame(t=(1.0, 2.0, 1.0, 2.0),
+                                alpha=(0.3, 0.5, 0.3, 0.5))):
+            cases += [(game, p0(game)), (game, _random_p(rng, game.n))]
+        cases += [(SearchGame(t=(1.0, 6.0), alpha=(0.5, 0.75)),
+                   HidingStrategy((0.5, 0.5))),
+                  (SearchGame(t=(1.0, 6.0, 2.0), alpha=(0.5, 0.75, 0.25)),
+                   HidingStrategy((0.5, 0.25, 0.25)))]
+        tied = 0
+        for game, p in cases:
+            for _ in range(3):
+                sigma = rng.permutation(game.n).tolist()
+                seq = gittins_sequence(game, p, TieOrdering(tuple(sigma)))
+                permuted = SearchGame(
+                    t=tuple(game.t[b] for b in sigma),
+                    alpha=tuple(game.alpha[b] for b in sigma))
+                identity = gittins_sequence(
+                    permuted, HidingStrategy(tuple(p.p[b] for b in sigma)))
+                relabeled = tuple(sigma[r] for r in identity.prefix(300))
+                assert seq.prefix(300) == relabeled, (game, p, sigma)
+                assert seq.tied == identity.tied
+                tied += seq.tied
+        assert tied >= 9
 
     def test_indices_never_stall_in_subnormals(self):
         # box 0's index decays by 0.15 per search; unscaled, it and box 1's
@@ -163,14 +197,16 @@ class TestCyclicSequence:
         assert seq.cycle.pattern == (1, 0, 1)
 
     def test_integer_rule_agrees_with_float_generation(self):
+        # with c = 1/16 and x_i in {1, 2, 4}, every q_i = c^(1/x_i) is a
+        # power of two, so the float indices q_i^m of a counter to p0 are
+        # exact and tie exactly where the integer rule ties
         rng = np.random.default_rng(31)
         for _ in range(15):
             n = int(rng.integers(1, 5))
-            x = [int(v) for v in rng.integers(1, 4, size=n)]
+            x = [int(v) for v in rng.choice([1, 2, 4], size=n)]
             x[int(rng.integers(0, n))] = 1
             game = make_cyclic_game(
-                float(rng.uniform(0.1, 0.9)), x,
-                [float(v) for v in rng.uniform(1, 5, size=n)],
+                1 / 16, x, [float(v) for v in rng.uniform(1, 5, size=n)],
             )
             sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
             exact = gittins_sequence(game, p0(game), sigma)
@@ -257,9 +293,11 @@ class TestBlockGeneration:
                 _replay(game, p0(game), sigma, _payoff_requests(game, rng))
 
     def test_near_cyclic_games_tie(self):
-        # cyclic alphas without the declared structure: the index streams
-        # meet again within rounding at every cycle, so the sigma counters
-        # to p0 keep meeting near-ties that only the tolerance makes ties
+        # cyclic alphas without the declared structure: a counter to p0
+        # starts every index at 1.0, so boxes with equal exponents tie
+        # exactly, and the other index streams meet again at every cycle
+        # up to rounding, often exactly, so the sigma counters keep
+        # meeting exact ties
         rng = np.random.default_rng(82)
         tied = 0
         for _ in range(12):
@@ -309,16 +347,18 @@ class TestBlockGeneration:
                          [("length", 5), ("visits", [0, 1], [1, 2])])
         assert oracle.boxes == [0, 1]
 
-    def test_near_tie_inside_a_run(self):
-        # box 0's index falls by a factor 1 - 1e-10 per search, so it comes
-        # within the tie tolerance of box 1's about 10 searches before it
-        # falls below it; sigma prefers box 1, which wins the first of them
-        game = SearchGame(t=(1.0, 1.0), alpha=(1e-10, 0.5))
-        ratio = (1 - 5e-9) * game.alpha[0] / game.alpha[1]
-        p = HidingStrategy((1 / (1 + ratio), ratio / (1 + ratio)))
-        oracle = _replay(game, p, TieOrdering((1, 0)),
-                         [("length", 30), ("length", 120), ("visits", 1, 1)])
-        assert oracle.tied and 35 < oracle.boxes.index(1) < 50
+    def test_tie_inside_a_run(self):
+        # box 0's index starts at 2**-2 and halves per search, box 1's is
+        # 2**-12: box 0 runs ten searches, and its eleventh ties exactly
+        # with box 1's first, inside the run; sigma (1, 0) gives the tie
+        # to box 1, the identity to box 0
+        game = SearchGame(t=(1.0, 2.0 ** 10), alpha=(0.5, 0.5))
+        p = HidingStrategy((0.5, 0.5))
+        requests = [("length", 4), ("length", 30), ("visits", 1, 3)]
+        oracle = _replay(game, p, TieOrdering((1, 0)), requests)
+        assert oracle.tied and oracle.boxes.index(1) == 10
+        oracle = _replay(game, p, None, requests)
+        assert oracle.tied and oracle.boxes.index(1) == 11
 
     def test_rescaled_indices(self):
         # the underflow game: box 0's index passes 2**-600 after about
@@ -330,14 +370,14 @@ class TestBlockGeneration:
         _replay(game, HidingStrategy((0.5, 0.5)), None, requests)
 
     def test_no_tie_beyond_the_payoff_depth(self):
-        # q_1 is q_0**3 up to a factor 1 + 1e-7, so the ratio of the two
-        # indices at each cycle of four searches falls by that factor;
-        # started 40 cycles above 1, it is a near-tie only after ~160
-        # searches, well past the series depths the payoffs request
-        q0, eps = 0.5, 1e-7
-        game = SearchGame(t=(1.0, 1.0), alpha=(1 - q0, 1 - q0**3 * (1 + eps)))
-        ratio = (1 + eps) ** 40 * game.alpha[1] / game.alpha[0]
-        p = HidingStrategy((ratio / (1 + ratio), 1 / (1 + ratio)))
+        # dyadic indices: box 0's are 2**-(3 + 2m), box 1's 2**-1,
+        # 2**-42, 2**-83, ..., so the first exact tie is box 1's third
+        # index with box 0's 41st, at search 43; the payoffs request only
+        # box 1's first two searches and box 0's first 21
+        q1 = 2.0 ** -41
+        game = SearchGame(t=(3.0, 1 - q1), alpha=(0.75, 1 - q1))
+        p = HidingStrategy((0.5, 0.5))
+        assert _first_depths(game) == [20, 1]
         seq = gittins_sequence(game, p, TieOrdering((0, 1)))
         _column_values(game, seq)
         assert not seq.tied
@@ -357,20 +397,18 @@ class TestBlockGeneration:
     HALVES = HidingStrategy((0.5, 0.5))
 
     def test_exact_counter_at_p0(self):
-        # against p0 all n indices tie by design; where they tie exactly in
-        # floating point, the merge takes them lower box first, as the
-        # one-step rule does, and sets `tied`
+        # against p0 all n indices start at 1.0, an exact tie by design:
+        # the merge takes them in the ordering, as the one-step rule does,
+        # and the start tie does not set `tied`
         rng = np.random.default_rng(86)
         for n in (2, 3, 5, 8):
-            while True:
-                game = sample_game(SCHEMES["varied"], n, rng)
-                start = p0(game)
-                indices = {pi * ai / ti
-                           for pi, ai, ti in zip(start.p, game.alpha, game.t)}
-                if len(indices) == 1:
-                    break
-            oracle = _replay(game, start, None, _payoff_requests(game, rng))
-            assert oracle.tied and oracle.boxes[:n] == list(range(n))
+            game = sample_game(SCHEMES["varied"], n, rng)
+            sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
+            for order in (None, sigma):
+                oracle = _replay(game, p0(game), order,
+                                 _payoff_requests(game, rng))
+                first = list((order or TieOrdering.identity(n)).sigma)
+                assert not oracle.tied and oracle.boxes[:n] == first
 
     def test_exact_tie_at_the_cut(self):
         # the request ends on box 0's third search, whose index equals box
@@ -423,7 +461,7 @@ class TestBlockGeneration:
 
         def counted(self, steps, need):
             block, done = merge(self, steps, need)
-            merges.append(len(block.boxes))
+            merges.append(len(block.rows))
             return block, done
 
         monkeypatch.setattr(_GittinsDriver, "_merge", counted)
@@ -437,8 +475,8 @@ class TestBlockGeneration:
             assert len(merges) >= 4 and max(merges) < _MAX_WIDTH + 40
 
     def test_column_request_is_one_merge(self, monkeypatch):
-        # a best response's column on an n = 8 game, at p0 (where some
-        # indices tie exactly) and at an interior p: every request is one
+        # a best response's column on an n = 8 game, at p0 (where all
+        # indices start tied) and at an interior p: every request is one
         # merge, with no search left to the one-step rule
         calls = {"merge": 0, "step": 0, "request": 0}
         merge, step = _GittinsDriver._merge, _GittinsDriver.step
@@ -456,12 +494,12 @@ class TestBlockGeneration:
                             counted("request", ensure_visits))
         rng = np.random.default_rng(87)
         game = sample_game(SCHEMES["varied"], 8, rng)
-        for p, tied in ((p0(game), True), (_random_p(rng, 8), False)):
+        for p in (p0(game), _random_p(rng, 8)):
             seq = gittins_sequence(game, p)
             calls.update(merge=0, step=0, request=0)
             seq.ensure_visits(range(8), [d + 1 for d in _first_depths(game)])
             assert calls == {"merge": 1, "step": 0, "request": 1}
-            assert seq.tied == tied
+            assert not seq.tied
             payoff_column(game, seq)
             assert calls["merge"] == calls["request"] - 1
             assert calls["step"] == 0

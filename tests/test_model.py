@@ -10,7 +10,6 @@ from boxsearch import (
     SearchGame,
     HidingStrategy,
     future_benefit,
-    immediate_benefit,
     make_cyclic_game,
     p0,
     sample_game,
@@ -132,15 +131,6 @@ class TestBenefits:
     def test_future_benefit_perfect_box(self):
         game = SearchGame(t=(1.0,), alpha=(1.0,), allow_perfect=True)
         assert future_benefit(game, 0) == math.inf
-
-    @pytest.mark.parametrize("alpha,t,expect", [
-        (0.5, 1.0, 0.5),
-        (0.9, 3.0, 0.3),
-        (0.1, 5.0, 0.02),
-    ])
-    def test_immediate_benefit(self, alpha, t, expect):
-        game = SearchGame(t=(t,), alpha=(alpha,))
-        assert immediate_benefit(game, 0) == pytest.approx(expect, rel=1e-12)
 
 
 class TestSampleGame:

@@ -67,14 +67,14 @@ class TestBestResponseValue:
             identical(), HidingStrategy((0.5, 0.5))
         )
         assert bracket.midpoint == pytest.approx(3.5, rel=1e-10)
-        assert not seq.degenerate_support
+        assert all(seq.can_visit_more(i) for i in range(2))
 
     def test_degenerate_support_restricted_game(self):
         bracket, seq = best_response_value(
             identical(), HidingStrategy((1.0, 0.0))
         )
         assert bracket.midpoint == pytest.approx(2.0, rel=1e-10)
-        assert seq.degenerate_support
+        assert not seq.can_visit_more(1)
 
     def test_cyclic_heuristic(self):
         game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))
@@ -280,15 +280,14 @@ class TestSeedColumns:
     @pytest.mark.parametrize("idx, shifted_used", [(8, 0), (3, 1)])
     def test_solve_realizes_one_rotation_counter(self, monkeypatch, idx,
                                                  shifted_used):
-        # a sigma counter at p0 is the only generator with a forced
-        # prefix; record whose generator runs
+        # record the tie ordering of every generator that runs; best
+        # responses use the identity, the first rotation's ordering
         realized = set()
         merge, step = _GittinsDriver._merge, _GittinsDriver.step
 
         def recorded(fn):
             def wrapper(gen, *args):
-                if gen.forced is not None:
-                    realized.add(gen.forced)
+                realized.add(gen.order)
                 return fn(gen, *args)
             return wrapper
 
