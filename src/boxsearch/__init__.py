@@ -29,12 +29,10 @@ from .model import (
     value_bounds,
 )
 from .payoff import (
-    INFINITE_PAYOFF,
     PayoffBracket,
     TailBoundParams,
     expected_payoff,
-    mixed_payoff,
-    payoff,
+    payoff_column,
     payoff_cyclic,
     payoff_truncated,
     round_robin_payoff,

@@ -19,26 +19,26 @@ point the sequence provably repeats the window forever.
 
 A detected cycle is the sequence's periodic tail: past the cycle's entry
 a sequence extends from the cycle's pattern, and otherwise from its index
-streams. Sequences are generated lazily, one request at a time (so many
+streams. Either way it grows in blocks of searches, one driver's take()
+at a time. Sequences are generated lazily, one request at a time (so many
 searches, or so many visits of some boxes), and a request is usually
 realized in one merge: each box's next indices come from one sequential
 product, a cumprod that yields exactly the floats of multiplying once per
 search, run just past the request's last search, and one stable sort of
-the streams laid out in sigma order merges them by index, breaking exact
-ties as the one-step rule does. That rule, one comparison of all indices
-per search, decides only rescaling; a request deeper than the cap on a
-stream goes block by block (see _GittinsDriver). Per-box visit completion
-times are memoized so repeated payoff evaluations never regenerate
-prefixes.
+the streams laid out in sigma order merges them by index, an exact tie
+going to the box earliest in sigma. A request deeper than the cap on a
+stream goes block by block (see _GittinsDriver). A pattern is tiled into
+blocks (see _PatternDriver). Per-box visit completion times are memoized
+so repeated payoff evaluations never regenerate prefixes.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -193,17 +193,17 @@ class _GittinsDriver:
     row-wise np.cumprod yields exactly the floats that multiplying the
     index once per search would, so a merge takes those streams for every
     row and sorts them by (-index, row): a stable sort of the row-major
-    layout puts equal indices lower row first, as the one-step rule does.
-    The streams are sized from the request: each runs to its first index
-    below the request's last search (or below _RESCALE_BELOW, or for at
-    most _MAX_WIDTH searches), so one merge usually realizes the whole
-    request, and a deeper one goes block by block.
+    layout puts equal indices lower row first. The streams are sized from
+    the request: each runs to its first index below the request's last
+    search (or below _RESCALE_BELOW, or for at most _MAX_WIDTH searches),
+    so one merge usually realizes the whole request, and a deeper one goes
+    block by block.
 
-    The one-step rule (step) decides only the searches a merge cannot:
-    one whose index falls below _RESCALE_BELOW. `tied` records whether any
-    search found two or more boxes at the maximal index, i.e. whether the
-    tie ordering ever mattered, except for the start tie of the first n
-    searches against p0."""
+    Once the largest index falls below _RESCALE_BELOW, take() multiplies
+    every index by _RESCALE, a power of two, which is exact. `tied`
+    records whether any search found two or more boxes at the maximal
+    index, i.e. whether the tie ordering ever mattered, except for the
+    start tie of the first n searches against p0."""
 
     __slots__ = ("order", "box_of", "rank", "t", "q", "q_list", "log_q",
                  "rows", "idx", "settled", "pos", "tied")
@@ -221,45 +221,26 @@ class _GittinsDriver:
         self.pos = 0
         self.tied = False
 
-    def step(self) -> int:
-        """The one-step rule: search the earliest row of maximal index."""
-        idx = self.idx
-        best = max(idx)
-        if best < _RESCALE_BELOW:
-            if best <= 0.0:
-                raise NumericalFailure("all Gittins indices are zero")
-            idx = self.idx = [v * _RESCALE for v in idx]
-            best *= _RESCALE
-        row = idx.index(best)
-        if self.pos >= self.settled and idx.count(best) > 1:
-            self.tied = True
-        idx[row] *= self.q_list[row]
-        self.pos += 1
-        return self.order[row]
-
     def can_visit(self, i: int) -> bool:
         # index 0 means the box is never searched again: p_i = 0, or a
         # perfect box already searched once
         return self.idx[self.rank[i]] > 0.0
 
     def take(self, steps: int | None,
-             need: list[int] | None) -> Iterator[int | _Block]:
-        """The next searches: each the one-step rule decides as its box,
-        each merge as a _Block. With `steps`, that many searches. With
-        `need`, up to the search after which every box i has been
-        searched need[i] more times or can never be searched again."""
+             need: list[int] | None) -> Iterator[_Block]:
+        """The next searches, one merge per _Block. With `steps`, that many
+        searches; NumericalFailure once every index is zero. With `need`,
+        up to the search after which every box i has been searched need[i]
+        more times or can never be searched again."""
         if need is not None:
             need = [need[b] for b in self.order]
-        while (steps > 0 and max(self.idx) > 0.0 if need is None else
+        while (steps > 0 if need is None else
                any(k > 0 and v > 0.0 for k, v in zip(need, self.idx))):
-            if max(self.idx) < _RESCALE_BELOW:
-                box = self.step()
-                yield box
-                if need is None:
-                    steps -= 1
-                else:
-                    need[self.rank[box]] -= 1
-                continue
+            best = max(self.idx)
+            if best < _RESCALE_BELOW:
+                if best <= 0.0:
+                    raise NumericalFailure("all Gittins indices are zero")
+                self.idx = [v * _RESCALE for v in self.idx]
             block, done = self._merge(steps, need)
             yield block
             if done:
@@ -272,8 +253,8 @@ class _GittinsDriver:
     def _merge(self, steps: int | None,
                need: list[int] | None) -> tuple[_Block, bool]:
         """One block of the request, and whether it ends the request; need
-        is by row. Its first search is not for the one-step rule, so it is
-        never empty."""
+        is by row. take() rescales first, so its first search is at or above
+        _RESCALE_BELOW and it is never empty."""
         idx = self.idx
         n = len(idx)
         if need is None:
@@ -320,7 +301,7 @@ class _GittinsDriver:
         if ends:
             chosen = streams >= c
         elif _RESCALE_BELOW > floor:
-            # the one-step rule rescales from the first index below it
+            # take() rescales from the first index below it
             chosen = streams >= _RESCALE_BELOW
         else:
             chosen = streams > floor
@@ -356,6 +337,64 @@ class _GittinsDriver:
         return block, ends or stop == steps
 
 
+class _PatternDriver:
+    """Repeats a pattern of boxes forever, in blocks of at most _MAX_WIDTH
+    searches. Its rows are those of the identity ordering (row r holds box
+    r), so it shares the game's _stream_params; pos is the place in the
+    pattern of the next search."""
+
+    __slots__ = ("order", "box_of", "t", "period", "places", "tiled", "pos",
+                 "tied")
+
+    def __init__(self, game: SearchGame, pattern: tuple[int, ...]):
+        params = _stream_params(game)
+        self.order, self.box_of, self.t = params.order, params.box_of, params.t
+        self.period = len(pattern)
+        # places[i]: the places of box i in the pattern, ascending
+        self.places = [[] for _ in range(game.n)]
+        for k, b in enumerate(pattern):
+            self.places[b].append(k)
+        # the pattern repeated, as often as the widest block yet needs
+        self.tiled = np.array(pattern * 2)
+        self.pos = 0
+        self.tied = False
+
+    def can_visit(self, i: int) -> bool:
+        return bool(self.places[i])
+
+    def take(self, steps: int | None,
+             need: list[int] | None) -> Iterator[_Block]:
+        """The next searches, in blocks. With `steps`, that many. With
+        `need`, up to the last search that brings some box i in the
+        pattern need[i] more visits."""
+        period = self.period
+        if need is not None:
+            steps = 0
+            for places, k in zip(self.places, need):
+                if k > 0 and places:
+                    # box i's first visit from pos on is at its j-th place,
+                    # and its k-th visit k - 1 places further on, counting
+                    # through the pattern's repeats
+                    j = bisect.bisect_left(places, self.pos)
+                    laps, r = divmod(j + k - 1, len(places))
+                    steps = max(steps, laps * period + places[r] - self.pos + 1)
+        n = len(self.order)
+        while steps > 0:
+            width = min(steps, _MAX_WIDTH)
+            stop = self.pos + width
+            if stop > len(self.tiled):
+                self.tiled = np.tile(self.tiled[:period], stop // period + 1)
+            rows = self.tiled[self.pos:stop]
+            self.pos = stop % period
+            steps -= width
+            counts = np.bincount(rows, minlength=n).tolist()
+            # the buffer holds the block's searches by row, in order
+            slots = np.empty(width, dtype=np.intp)
+            slots[rows.argsort(kind="stable")] = np.arange(width)
+            yield _Block(rows, slots,
+                         list(itertools.accumulate(counts, initial=0)), counts)
+
+
 class SearchSequence:
     """A lazily extendable search sequence with memoized visit times.
 
@@ -364,8 +403,8 @@ class SearchSequence:
     Each box's visit times live in a float64 buffer that grows by
     doubling; a box's first block of visits becomes its buffer as it is.
     Completed prefixes are append-only, so values handed out never change.
-    A sequence extends from its Gittins driver while it has one; once its
-    cycle is known it repeats the pattern instead.
+    A sequence extends from its driver's blocks: a Gittins driver's index
+    streams, or, once its cycle is known, a pattern driver's repeats.
     """
 
     __slots__ = (
@@ -373,7 +412,8 @@ class SearchSequence:
         "cycle", "_column",
     )
 
-    def __init__(self, game: SearchGame, driver: _GittinsDriver | None = None,
+    def __init__(self, game: SearchGame,
+                 driver: _GittinsDriver | _PatternDriver,
                  cycle: CycleInfo | None = None):
         self.game = game
         self._boxes: list[int] = []
@@ -395,13 +435,6 @@ class SearchSequence:
             grown[:count] = buf[:count]
             self._visits[b] = buf = grown
         return buf
-
-    def _append(self, b: int) -> None:
-        self._boxes.append(b)
-        self._elapsed += self.game.t[b]
-        count = self._counts[b]
-        self._reserve(b, 1)[count] = self._elapsed
-        self._counts[b] = count + 1
 
     def _append_block(self, block: _Block) -> None:
         """Append a merged block; one cumsum from the elapsed time gives
@@ -427,32 +460,26 @@ class SearchSequence:
             self._counts[b] = count + k
 
     def _realize(self, steps: int | None, need: list[int] | None) -> None:
-        """Append what the driver's take(steps, need) realizes."""
+        """Append the blocks of the driver's take(steps, need)."""
         for block in self._driver.take(steps, need):
-            if type(block) is int:
-                self._append(block)
-            else:
-                self._append_block(block)
+            self._append_block(block)
 
-    def _extend_once(self) -> None:
-        if self._driver is not None:
-            self._append(self._driver.step())
-        else:
-            pattern = self.cycle.pattern
-            past_entry = len(self._boxes) - sum(self.cycle.entry)
-            self._append(pattern[past_entry % len(pattern)])
+    def _cut(self, length: int) -> None:
+        """Drop every search past the first `length`, before any visit
+        time is handed out."""
+        del self._boxes[length:]
+        self._counts = [0] * self.game.n
+        for b in self._boxes:
+            self._counts[b] += 1
+        last = self._boxes[-1]
+        self._elapsed = float(self._visits[last][self._counts[last] - 1])
 
     def __len__(self) -> int:
         return len(self._boxes)
 
     def ensure_length(self, length: int) -> None:
-        missing = length - len(self._boxes)
-        if missing <= 0:
-            return
-        if self._driver is not None:
-            self._realize(missing, None)
-        while len(self._boxes) < length:
-            self._extend_once()
+        if length > len(self._boxes):
+            self._realize(length - len(self._boxes), None)
 
     def prefix(self, length: int) -> tuple[int, ...]:
         self.ensure_length(length)
@@ -466,14 +493,12 @@ class SearchSequence:
         """Whether index generation has met an exact tie that the ordering
         had to break, in the searches realized so far, apart from the
         start tie of the first n searches against p0. False for a
-        sequence that does not extend from an index stream."""
-        return self._driver is not None and self._driver.tied
+        sequence that extends from a pattern."""
+        return self._driver.tied
 
     def can_visit_more(self, i: int) -> bool:
         """Whether further extension can ever add another visit of box i."""
-        if self._driver is not None:
-            return self._driver.can_visit(i)
-        return i in self.cycle.pattern
+        return self._driver.can_visit(i)
 
     def ensure_visits(self, i: int | Sequence[int],
                       count: int | Sequence[int]) -> None:
@@ -493,12 +518,7 @@ class SearchSequence:
             need[b] = max(need[b], c - self._counts[b])
         if not any(need):
             return
-        if self._driver is not None:
-            self._realize(None, need)
-        else:
-            for b, c in zip(boxes, counts):
-                while self._counts[b] < c and self.can_visit_more(b):
-                    self._extend_once()
+        self._realize(None, need)
         for b, c in zip(boxes, counts):
             if self._counts[b] < c:
                 raise InsufficientPrefix(
@@ -546,9 +566,8 @@ def from_pattern(game: SearchGame,
         raise EmptyGame("pattern must be nonempty")
     if any(not 0 <= b < game.n for b in pattern):
         raise InvalidGameError(f"pattern {pattern} has out-of-range boxes")
-    return SearchSequence(
-        game, cycle=CycleInfo(entry=(0,) * game.n, pattern=pattern)
-    )
+    return SearchSequence(game, _PatternDriver(game, pattern),
+                          CycleInfo(entry=(0,) * game.n, pattern=pattern))
 
 
 def gittins_sequence(
@@ -580,53 +599,59 @@ def gittins_sequence(
     ):
         order = order or TieOrdering.identity(game.n)
         return from_pattern(game, _integer_rule_pattern(game, order))
-    driver = _GittinsDriver(game, p, order, p == start)
-    seq = SearchSequence(game, driver=driver)
+    seq = SearchSequence(game, _GittinsDriver(game, p, order, p == start))
     if game.cyclic is not None and p.full_support:
         seq.cycle = _find_cycle(seq)
         if seq.cycle is not None:
-            seq._driver = None  # the pattern drives the tail from here
+            # the pattern drives the tail from here
+            seq._driver = _PatternDriver(game, seq.cycle.pattern)
     return seq
 
 
 def _integer_rule_pattern(game: SearchGame, order: TieOrdering) -> tuple[int, ...]:
     """One cycle of the exact integer rule for a cyclic game started at p0.
 
-    Searching argmax x_i/r_i (i.e. the smallest fraction r_i/x_i of its
-    cycle quota used) reproduces the index order exactly; ties, including
-    the all-boxes tie at the start and end of each cycle, go to sigma.
+    Searching the box with the smallest fraction r_i/x_i of its cycle quota
+    used (r_i = its searches in the cycle so far) reproduces the index
+    order exactly; ties, including the all-boxes tie at the start and end
+    of each cycle, go to sigma. Box i's k-th search in the cycle (k from
+    0) comes at fraction k/x_i, so the cycle is one sort of the exact
+    integer keys k * lcm(x) / x_i, ties by rank in sigma.
     """
     x = game.cyclic.x
-    n = game.n
+    lcm = math.lcm(*x)
     rank = order.rank()
-    r = [0] * n
-    pattern = []
-    for _ in range(game.cyclic.x_hat):
-        choice = min(
-            range(n), key=lambda i: (Fraction(r[i], x[i]), rank[i])
-        )
-        pattern.append(choice)
-        r[choice] += 1
-    assert r == list(x)
-    return tuple(pattern)
+    keys = sorted((k * lcm // x_i, rank[i], i)
+                  for i, x_i in enumerate(x) for k in range(x_i))
+    return tuple(i for _, _, i in keys)
 
 
 def _find_cycle(seq: SearchSequence) -> CycleInfo | None:
-    """Extend seq until x_hat consecutive searches visit each box i exactly
-    x_i times. The posterior then equals its value at the window start, so
-    the window repeats forever. None when no window appears within the
-    step budget; the searches generated so far stay seq's prefix."""
+    """Realize seq, in blocks doubling in length, until x_hat consecutive
+    searches visit each box i exactly x_i times. The posterior then equals
+    its value at the window start, so the window repeats forever; seq is
+    cut back to the end of the first such window, since past it the float
+    indices need not follow the pattern. None when no window appears
+    within the step budget; the searches realized so far stay seq's
+    prefix."""
     x = list(seq.game.cyclic.x)
     x_hat = seq.game.cyclic.x_hat
+    budget = _CYCLE_STEP_BUDGET_FACTOR * x_hat
     boxes = seq._boxes
-    window_counts = [0] * len(x)
-    for step in range(_CYCLE_STEP_BUDGET_FACTOR * x_hat):
-        seq._extend_once()
-        window_counts[boxes[step]] += 1
-        if step >= x_hat:
-            window_counts[boxes[step - x_hat]] -= 1
-        if window_counts == x:
-            start = step + 1 - x_hat
-            entry = tuple(boxes[:start].count(i) for i in range(len(x)))
-            return CycleInfo(entry=entry, pattern=tuple(boxes[start:]))
+    # window[i] counts box i's searches among the x_hat that end at search
+    # `end`, the last one scanned
+    window = [0] * len(x)
+    end = 0
+    while end < budget:
+        seq.ensure_length(min(max(2 * end, 2 * x_hat), budget))
+        while end < len(boxes):
+            window[boxes[end]] += 1
+            if end >= x_hat:
+                window[boxes[end - x_hat]] -= 1
+            end += 1
+            if window == x:
+                start = end - x_hat
+                seq._cut(end)
+                entry = tuple(boxes[:start].count(i) for i in range(len(x)))
+                return CycleInfo(entry=entry, pattern=tuple(boxes[start:]))
     return None

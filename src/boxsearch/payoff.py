@@ -17,18 +17,18 @@ u(i, xi) for every box i at once and memoizes the column on the sequence.
 Once a sequence has a cycle (x_i visits of box i repeating forever), the
 tail is a geometric sum with ratio (1-alpha_i)^{x_i} and each box gets
 the closed form of payoff_cyclic() as a zero-width bracket, exact up to
-rounding. Otherwise each box starts from a series depth R_i fixed per
-game, and R is doubled for a box until its bracket's relative width is
-below PAYOFF_REL_TOL. The starting brackets take one array pass: one
-request realizes every box's R_i + 1 visits, their times are gathered
-into one buffer and differenced once, and each box's series is one dot
-of its steps with its powers, the same floats and the same sums as
-payoff_truncated() forms.
+rounding, from one request for every box's visits. Otherwise each box
+starts from a series depth R_i fixed per game, and R is doubled for a box
+until its bracket's relative width is below PAYOFF_REL_TOL. The starting
+brackets take one array pass: one request realizes every box's R_i + 1
+visits, their times are gathered into one buffer and differenced once,
+and each box's series is one dot of its steps with its powers, the same
+floats and the same sums as payoff_truncated() forms.
 
 Every mixed payoff here is interval arithmetic over per-box brackets, so
 reported values are certified brackets rather than point estimates. A box
-a sequence provably never visits has infinite payoff: payoff() returns
-the INFINITE_PAYOFF sentinel for it, and its column entries read inf.
+a sequence provably never visits has infinite payoff: its column entries
+read inf.
 """
 
 from __future__ import annotations
@@ -75,20 +75,6 @@ class PayoffBracket:
     def width(self) -> float:
         return self.upper - self.lower
 
-    is_infinite = False
-
-
-class _InfinitePayoff:
-    """Sentinel for u(i, xi) = +inf (box i never searched under xi)."""
-
-    is_infinite = True
-
-    def __repr__(self) -> str:
-        return "INFINITE_PAYOFF"
-
-
-INFINITE_PAYOFF = _InfinitePayoff()
-
 
 @dataclass(frozen=True)
 class TailBoundParams:
@@ -122,7 +108,7 @@ def tail_params(game: SearchGame) -> TailBoundParams:
 
 @_once_per_game
 def _first_depths(game: SearchGame) -> list[int]:
-    """The series depth R that payoff() tries first for each box: the
+    """The series depth R that a payoff column tries first for each box: the
     first R with tail <= PAYOFF_REL_TOL * t_i, which suffices since t_i <=
     tau_i(1) <= lower. 0 for a perfect box, whose payoff is its first
     visit time. Raises CapExceeded when some box's depth is above
@@ -253,10 +239,12 @@ def payoff_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
 
 
 def _column_uncached(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
-    """The array pass where it applies, else each box on its own."""
-    if xi.cycle is None and all(
-        xi.num_visits(i) > 0 or xi.can_visit_more(i) for i in range(game.n)
-    ):
+    """The closed form on a cycle, the array pass where it applies, else
+    each box on its own."""
+    if xi.cycle is not None:
+        return _cyclic_column(game, xi)
+    if all(xi.num_visits(i) > 0 or xi.can_visit_more(i)
+           for i in range(game.n)):
         return _series_column(game, xi)
     lower, upper, used = zip(
         *(_box_bracket(game, i, xi) for i in range(game.n))
@@ -302,35 +290,17 @@ def _series_bracket(game: SearchGame, i: int, xi: SearchSequence,
 
 def _box_bracket(game: SearchGame, i: int,
                  xi: SearchSequence) -> tuple[float, float, int]:
-    """Box i's bracket on its own: inf for a box xi never searches, the
-    closed form on a cycle, else the series (at depth 0 for a perfect
+    """Box i's bracket on its own, on a sequence without a cycle: inf for
+    a box xi never searches, else the series (at depth 0 for a perfect
     box: its first visit time)."""
     if xi.num_visits(i) == 0 and not xi.can_visit_more(i):
         return math.inf, math.inf, 0
-    if xi.cycle is not None:
-        v = payoff_cyclic(game, i, xi)
-        return v, v, 0
     return _series_bracket(game, i, xi, _first_depths(game)[i])
 
 
-def payoff(
-    game: SearchGame, i: int, xi: SearchSequence,
-) -> PayoffBracket | _InfinitePayoff:
-    """Bracket u(i, xi), extending xi on demand: box i of payoff_column().
-
-    Returns INFINITE_PAYOFF when xi provably never searches box i (the
-    p_i = 0 case).
-    """
-    column = payoff_column(game, xi)
-    lower = float(column.lower[i])
-    if lower == math.inf:
-        return INFINITE_PAYOFF
-    return PayoffBracket(lower, float(column.upper[i]),
-                         column.searches_used[i])
-
-
-def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
-    """Closed-form u(i, xi) once xi's cycle is known.
+def _cyclic_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
+    """The closed form for every box of a sequence with a cycle, from one
+    request for every box's visits; inf for a box its pattern leaves out.
 
     With R = xi.cycle.entry[i] visits before the cycle and x_i visits of
     box i in its pattern, the tail past R is a geometric sum over whole
@@ -342,26 +312,38 @@ def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
     where u_R is the truncated series over the pre-cycle visits. Exact up
     to float rounding.
     """
+    entry = xi.cycle.entry
+    x = [xi.cycle.pattern.count(i) for i in range(game.n)]
+    boxes = [i for i in range(game.n) if x[i]]
+    xi.ensure_visits(boxes, [entry[i] + x[i] + 1 for i in boxes])
+    values = []
+    for i, (a, R, x_i) in enumerate(zip(game.alpha, entry, x)):
+        if not x_i:
+            values.append(math.inf)
+            continue
+        q = 1.0 - a
+        tau = xi.visit_times(i)[: R + x_i + 1].tolist()
+        u_R = 0.0
+        qr = 1.0
+        for r in range(1, R + 1):
+            qr *= q
+            u_R += qr * (tau[r] - tau[r - 1])
+        A_i = 0.0
+        qc = qr
+        for r in range(1, x_i + 1):
+            qc *= q
+            A_i += qc * (tau[R + r] - tau[R + r - 1])
+        # qc has absorbed the (1-alpha_i)^R factor by continuing from qr
+        values.append(tau[0] + u_R + A_i / (1.0 - q**x_i))
+    return PayoffColumn(np.array(values), np.array(values), (0,) * game.n)
+
+
+def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
+    """Closed-form u(i, xi) once xi's cycle is known: box i of its payoff
+    column (see _cyclic_column), inf for a box its pattern leaves out."""
     if xi.cycle is None:
         raise NoCycleDetected("sequence has no detected cycle")
-    a = game.alpha[i]
-    q = 1.0 - a
-    x_i = xi.cycle.pattern.count(i)
-    R = xi.cycle.entry[i]
-    xi.ensure_visits(i, R + x_i + 1)
-    tau = xi.visit_times(i)[: R + x_i + 1].tolist()
-    u_R = 0.0
-    qr = 1.0
-    for r in range(1, R + 1):
-        qr *= q
-        u_R += qr * (tau[r] - tau[r - 1])
-    A_i = 0.0
-    qc = qr
-    for r in range(1, x_i + 1):
-        qc *= q
-        A_i += qc * (tau[R + r] - tau[R + r - 1])
-    # qc has absorbed the (1-alpha_i)^R factor by continuing from qr
-    return tau[0] + u_R + A_i / (1.0 - q**x_i)
+    return float(payoff_column(game, xi).lower[i])
 
 
 def round_robin_payoff(game: SearchGame, i: int) -> float:
@@ -404,29 +386,3 @@ def check_mixture_weights(weights: list[float]) -> None:
         raise InvalidMixture(
             f"mixture weights must be >= 0 and sum to 1, got {weights}"
         )
-
-
-def mixed_payoff(
-    game: SearchGame, i: int, theta: list[tuple[float, SearchSequence]],
-) -> PayoffBracket:
-    """u(i, theta) for a hider in box i against a searcher mixture theta
-    over sequences.
-
-    Weights must be nonnegative and sum to 1. Each side is summed with
-    fsum.
-    """
-    check_mixture_weights([w for w, _ in theta])
-    lower, upper = [], []
-    used = 0
-    for w, xi in theta:
-        if w == 0.0:
-            continue
-        br = payoff(game, i, xi)
-        if br.is_infinite:
-            raise BoxNeverSearched(
-                f"box {i} never searched by a mixed-in sequence"
-            )
-        lower.append(w * br.lower)
-        upper.append(w * br.upper)
-        used = max(used, br.searches_used)
-    return PayoffBracket(math.fsum(lower), math.fsum(upper), used)

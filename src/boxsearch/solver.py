@@ -167,8 +167,8 @@ def _mixture_certificate(game: SearchGame, theta, sequences) -> float:
     on the game value for any searcher mixture theta, independent of LP
     rounding.
 
-    The same sums as max_i mixed_payoff(game, i, mixture).upper, in the
-    same order, from one pass over the support's payoff columns.
+    For each box i, the fsum of w * u(i, xi).upper over the mixture's
+    support in its order, from one pass over the support's payoff columns.
     """
     check_mixture_weights(theta)
     support = [(w, payoff_column(game, seq))

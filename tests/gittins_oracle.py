@@ -10,7 +10,14 @@ is rescaled by 2**600 once it falls below 2**-600. Block generation must
 reproduce its boxes, visit times, `tied` flag and length after every
 request exactly. replay_check is a second, stateless reference: it
 recomputes every index from its closed form.
+
+OraclePattern does the same for a sequence that repeats a pattern, one
+search at a time, and integer_rule_greedy is the integer tie rule of a
+cyclic game at p0 as boxsearch first computed it: one exact Fraction
+comparison per search.
 """
+
+from fractions import Fraction
 
 from boxsearch.errors import InsufficientPrefix, NumericalFailure
 from boxsearch.gittins import TieOrdering
@@ -107,3 +114,63 @@ def replay_check(game, p, seq, rel_tol: float = _REPLAY_SLACK,
             return False
         m[b] += 1
     return True
+
+
+class OraclePattern:
+    """A sequence that searches the boxes of `head`, then repeats `pattern`
+    forever, one search at a time; `tied` is always False."""
+
+    def __init__(self, game, head, pattern):
+        self.game = game
+        self.head = list(head)
+        self.pattern = list(pattern)
+        self.tied = False
+        self.boxes: list[int] = []
+        self.visits: list[list[float]] = [[] for _ in range(game.n)]
+        self.elapsed = 0.0
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def _step(self) -> None:
+        k = len(self.boxes)
+        if k < len(self.head):
+            box = self.head[k]
+        else:
+            box = self.pattern[(k - len(self.head)) % len(self.pattern)]
+        self.boxes.append(box)
+        self.elapsed += self.game.t[box]
+        self.visits[box].append(self.elapsed)
+
+    def _can_visit(self, box) -> bool:
+        return box in self.pattern or box in self.head[len(self.boxes):]
+
+    def ensure_length(self, length: int) -> None:
+        while len(self.boxes) < length:
+            self._step()
+
+    def ensure_visits(self, boxes, counts) -> None:
+        """Search while some requested box is short of its count and can
+        still be searched; raise if one stays short."""
+        while any(len(self.visits[b]) < c and self._can_visit(b)
+                  for b, c in zip(boxes, counts)):
+            self._step()
+        for b, c in zip(boxes, counts):
+            if len(self.visits[b]) < c:
+                raise InsufficientPrefix(f"box {b} stays short of {c} visits")
+
+
+def integer_rule_greedy(x, order: TieOrdering) -> tuple[int, ...]:
+    """One cycle of the integer rule: each search goes to the box with the
+    smallest fraction r_i/x_i of its quota used (r_i = its searches so
+    far), an exact tie to the box earliest in the ordering."""
+    rank = order.rank()
+    r = [0] * len(x)
+    pattern = []
+    for _ in range(sum(x)):
+        choice = min(range(len(x)),
+                     key=lambda i: (Fraction(r[i], x[i]), rank[i]))
+        pattern.append(choice)
+        r[choice] += 1
+    assert r == list(x)
+    return tuple(pattern)

@@ -1,5 +1,5 @@
 """Monte-Carlo oracle for expected detection times, independent of the
-series and closed forms that payoff() evaluates."""
+series and closed forms that payoff_column() evaluates."""
 
 import math
 

@@ -20,7 +20,6 @@ from boxsearch import (
     gittins_sequence,
     make_cyclic_game,
     p0,
-    payoff,
     payoff_cyclic,
     payoff_truncated,
     ruckle_sweep,
@@ -37,6 +36,7 @@ from boxsearch.study import two_box_games
 from floors import hider_floor
 from gittins_oracle import replay_check
 from mc_oracle import mc_estimate
+from payoff_oracle import payoff
 
 _SUITE_START = time.perf_counter()
 

@@ -1,5 +1,8 @@
 """Sequence generation, tie-breaking, orderings, and cycle detection."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -15,16 +18,25 @@ from boxsearch import (
     sample_game,
 )
 from boxsearch.errors import CapExceeded, InsufficientPrefix, NumericalFailure
+import boxsearch.gittins as gittins_module
 from boxsearch.gittins import (
     _MAX_WIDTH,
     SearchSequence,
     TieOrdering,
     _GittinsDriver,
+    _integer_rule_pattern,
+    _PatternDriver,
     from_pattern,
 )
 from boxsearch.payoff import _first_depths, payoff_column, tail_params
 from boxsearch.solver import _column_values
-from gittins_oracle import OracleSequence, gittins_index, replay_check
+from gittins_oracle import (
+    OraclePattern,
+    OracleSequence,
+    gittins_index,
+    integer_rule_greedy,
+    replay_check,
+)
 
 
 class TestGittinsIndex:
@@ -216,6 +228,60 @@ class TestCyclicSequence:
             span = 3 * game.cyclic.x_hat
             assert exact.prefix(span) == floaty.prefix(span)
 
+    def test_integer_rule_is_one_sort(self):
+        # the sort of the keys k * lcm(x) / x_i against the Fraction greedy
+        # rule: every coprime x with x_i in 1..6 on up to three boxes, and
+        # random ones on four and five
+        rng = np.random.default_rng(94)
+        xs = [x for n in (1, 2, 3)
+              for x in itertools.product(range(1, 7), repeat=n)]
+        xs += [tuple(rng.integers(1, 7, size=n).tolist())
+               for n in (4, 5) for _ in range(100)]
+        checked = 0
+        for x in xs:
+            if math.gcd(*x) != 1:
+                continue
+            game = make_cyclic_game(0.5, x, (1.0,) * len(x))
+            sigma = TieOrdering(tuple(rng.permutation(len(x)).tolist()))
+            for order in (TieOrdering.identity(len(x)), sigma):
+                assert (_integer_rule_pattern(game, order)
+                        == integer_rule_greedy(x, order)), (x, order)
+            checked += 1
+        assert checked > 300
+
+    def test_detected_cycle_realizes_exactly_its_window(self):
+        # past the first window's end the float indices need not follow
+        # the pattern, so nothing beyond it is kept
+        rng = np.random.default_rng(93)
+        entered = 0
+        for _ in range(60):
+            game = _cyclic_game(rng)
+            seq = gittins_sequence(game, _random_p(rng, game.n))
+            assert isinstance(seq._driver, _PatternDriver)
+            assert len(seq) == sum(seq.cycle.entry) + game.cyclic.x_hat
+            assert seq.prefix(len(seq))[-game.cyclic.x_hat:] == seq.cycle.pattern
+            entered += sum(seq.cycle.entry) > 0
+        assert entered >= 10
+
+    def test_no_cycle_within_the_budget(self, monkeypatch):
+        # with a budget of x_hat searches only the window at search 0 is
+        # scanned: a counter whose cycle starts later keeps its Gittins
+        # driver and the x_hat searches realized
+        rng = np.random.default_rng(95)
+        while True:
+            game = _cyclic_game(rng)
+            p = _random_p(rng, game.n)
+            if sum(gittins_sequence(game, p).cycle.entry) > 0:
+                break
+        monkeypatch.setattr(gittins_module, "_CYCLE_STEP_BUDGET_FACTOR", 1)
+        seq = gittins_sequence(game, p)
+        assert seq.cycle is None and isinstance(seq._driver, _GittinsDriver)
+        assert len(seq) == game.cyclic.x_hat
+        oracle = OracleSequence(game, p)
+        oracle.ensure_length(len(seq))
+        _replay_on(seq, oracle, [("length", 3 * game.cyclic.x_hat)]
+                   + _payoff_requests(game, rng))
+
     def test_general_p_cycle_detection(self):
         game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))
         p = HidingStrategy((0.55, 0.45))
@@ -250,12 +316,30 @@ def _payoff_requests(game, rng, extra=4):
     return requests
 
 
+def _cyclic_game(rng):
+    """A cyclic game on 2-4 boxes: coprime x_i in 1..3, c ~ U(0.05, 0.6),
+    t_i ~ U(1, 5)."""
+    n = int(rng.integers(2, 5))
+    while True:
+        x = rng.integers(1, 4, size=n).tolist()
+        if math.gcd(*x) == 1:
+            break
+    return make_cyclic_game(float(rng.uniform(0.05, 0.6)), x,
+                            rng.uniform(1, 5, size=n).tolist())
+
+
 def _replay(game, p, order, requests):
     """Run the same requests on a generated sequence and on the one-step
-    oracle; both must raise alike and agree on length, `tied`, every box
-    and every visit time after each. Returns the oracle."""
-    seq = gittins_sequence(game, p, order)
-    oracle = OracleSequence(game, p, order)
+    oracle (see _replay_on). Returns the oracle."""
+    return _replay_on(gittins_sequence(game, p, order),
+                      OracleSequence(game, p, order), requests)
+
+
+def _replay_on(seq, oracle, requests):
+    """Run the same requests on seq and on an oracle that searches one box
+    at a time; both must raise alike and agree on length, `tied`, every
+    box and every visit time after each. Returns the oracle."""
+    game = seq.game
     for kind, boxes, *counts in requests:
         outcomes = []
         for target in (seq, oracle):
@@ -477,9 +561,9 @@ class TestBlockGeneration:
     def test_column_request_is_one_merge(self, monkeypatch):
         # a best response's column on an n = 8 game, at p0 (where all
         # indices start tied) and at an interior p: every request is one
-        # merge, with no search left to the one-step rule
-        calls = {"merge": 0, "step": 0, "request": 0}
-        merge, step = _GittinsDriver._merge, _GittinsDriver.step
+        # merge
+        calls = {"merge": 0, "request": 0}
+        merge = _GittinsDriver._merge
         ensure_visits = SearchSequence.ensure_visits
 
         def counted(name, fn):
@@ -489,17 +573,82 @@ class TestBlockGeneration:
             return wrapper
 
         monkeypatch.setattr(_GittinsDriver, "_merge", counted("merge", merge))
-        monkeypatch.setattr(_GittinsDriver, "step", counted("step", step))
         monkeypatch.setattr(SearchSequence, "ensure_visits",
                             counted("request", ensure_visits))
         rng = np.random.default_rng(87)
         game = sample_game(SCHEMES["varied"], 8, rng)
         for p in (p0(game), _random_p(rng, 8)):
             seq = gittins_sequence(game, p)
-            calls.update(merge=0, step=0, request=0)
+            calls.update(merge=0, request=0)
             seq.ensure_visits(range(8), [d + 1 for d in _first_depths(game)])
-            assert calls == {"merge": 1, "step": 0, "request": 1}
+            assert calls == {"merge": 1, "request": 1}
             assert not seq.tied
             payoff_column(game, seq)
             assert calls["merge"] == calls["request"] - 1
-            assert calls["step"] == 0
+
+
+class TestPatternBlocks:
+    """A pattern, from from_pattern or a detected cycle, is realized in
+    blocks exactly as one search at a time (OraclePattern), request by
+    request."""
+
+    def test_extension_stops_at_the_last_needed_search(self):
+        game = SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.3, 0.6, 0.5))
+        seq = from_pattern(game, (0, 2, 0))
+        seq.ensure_visits(2, 1)
+        assert len(seq) == 2
+        # box 0's third visit is search 4, box 2's second search 5; box 1
+        # is left out of the pattern
+        with pytest.raises(InsufficientPrefix):
+            seq.ensure_visits([0, 1, 2], [3, 1, 2])
+        assert len(seq) == 5
+        assert not seq.can_visit_more(1) and seq.can_visit_more(2)
+        assert seq.visit_times(0).tolist() == [1.0, 3.5, 4.5]
+
+    def test_from_pattern(self):
+        rng = np.random.default_rng(96)
+        for n in (1, 2, 3, 5):
+            game = sample_game(SCHEMES["varied"], n, rng)
+            for _ in range(4):
+                pattern = tuple(
+                    rng.integers(n, size=int(rng.integers(1, 9))).tolist()
+                )
+                requests = [("length", int(rng.integers(1, 30)))]
+                requests += [("visits", int(rng.integers(n)),
+                              int(rng.integers(1, 50))) for _ in range(4)]
+                requests += [("visits", list(range(n)),
+                              rng.integers(1, 40, size=n).tolist()),
+                             ("length", int(rng.integers(100, 300)))]
+                _replay_on(from_pattern(game, pattern),
+                           OraclePattern(game, (), pattern), requests)
+
+    def test_requests_wider_than_a_block(self):
+        game = SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.3, 0.6, 0.5))
+        pattern = (2, 0, 0, 1, 0)
+        requests = [("visits", 1, 3), ("length", _MAX_WIDTH + 3),
+                    ("visits", [1, 2], [_MAX_WIDTH // 2, 5]),
+                    ("length", 2 * _MAX_WIDTH + 11)]
+        _replay_on(from_pattern(game, pattern),
+                   OraclePattern(game, (), pattern), requests)
+
+    def test_detected_cycles(self):
+        # the head is the Gittins counter's first sum(entry) searches, and
+        # the pattern its next x_hat
+        rng = np.random.default_rng(97)
+        for _ in range(12):
+            game = _cyclic_game(rng)
+            p = _random_p(rng, game.n)
+            seq = gittins_sequence(game, p)
+            head = sum(seq.cycle.entry)
+            counter = OracleSequence(game, p)
+            counter.ensure_length(len(seq))
+            assert tuple(counter.boxes[head:]) == seq.cycle.pattern
+            oracle = OraclePattern(game, counter.boxes[:head],
+                                   seq.cycle.pattern)
+            oracle.ensure_length(len(seq))
+            requests = [("visits", int(rng.integers(game.n)),
+                         int(rng.integers(1, 40))) for _ in range(3)]
+            requests += [("length", int(rng.integers(1, 200))),
+                         ("visits", list(range(game.n)),
+                          rng.integers(1, 60, size=game.n).tolist())]
+            _replay_on(seq, oracle, requests + _payoff_requests(game, rng))

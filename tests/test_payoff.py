@@ -6,12 +6,12 @@ bound t/alpha for single boxes, and brute-force partial sums for the
 truncated brackets.
 """
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import boxsearch.payoff as payoff_module
 from boxsearch import (
     SCHEMES,
     HidingStrategy,
@@ -19,9 +19,7 @@ from boxsearch import (
     expected_payoff,
     gittins_sequence,
     make_cyclic_game,
-    mixed_payoff,
     p0,
-    payoff,
     payoff_cyclic,
     payoff_truncated,
     round_robin_payoff,
@@ -51,9 +49,7 @@ from boxsearch.solver import test_p0_optimality as p0_optimality
 from floors import hider_floor
 from gittins_oracle import OracleSequence
 from mc_oracle import mc_estimate
-
-# the package's function payoff shadows the module as an attribute
-payoff_module = importlib.import_module("boxsearch.payoff")
+from payoff_oracle import INFINITE_PAYOFF, mixed_payoff, payoff
 
 
 def identical() -> SearchGame:
@@ -67,7 +63,7 @@ def alternating(game):
 def perfect_second(game):
     """The exact counter to p = (0.75, 0.25) on t = (1, 1), alpha = (0.5,
     1): indices 0.375 and 0.25 search box 0 first, then box 1 at time 2.
-    It has no cycle, so payoff() takes the series, at depth 0 for box 1."""
+    It has no cycle, so payoff_column() takes the series, at depth 0 for box 1."""
     seq = gittins_sequence(game, HidingStrategy((0.75, 0.25)))
     assert seq.prefix(2) == (0, 1) and seq.cycle is None
     return seq
@@ -76,7 +72,7 @@ def perfect_second(game):
 def series_bracket(game, i, seq, rel_tol=1e-10):
     """Series bracket of u(i, seq) from payoff_truncated alone, doubling R
     until its relative width is within rel_tol: an evaluation independent
-    of the closed form that payoff() returns on cycled sequences."""
+    of the closed form that payoff_column() returns on cycled sequences."""
     R = 1
     while True:
         lower, upper = payoff_truncated(game, i, seq, R)
@@ -313,8 +309,7 @@ class TestPayoff:
     def test_never_searched_sentinel(self):
         game = identical()
         seq = gittins_sequence(game, HidingStrategy((1.0, 0.0)))
-        result = payoff(game, 1, seq)
-        assert result.is_infinite
+        assert payoff(game, 1, seq) is INFINITE_PAYOFF
 
     def test_perfect_box_pays_first_visit(self):
         game = SearchGame(t=(1.0, 1.0), alpha=(0.5, 1.0), allow_perfect=True)

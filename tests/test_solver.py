@@ -16,9 +16,7 @@ from boxsearch import (
     expected_payoff,
     gittins_sequence,
     make_cyclic_game,
-    mixed_payoff,
     p0,
-    payoff,
     sample_game,
     solve,
     value_bounds,
@@ -43,6 +41,7 @@ from boxsearch.solver import (
 from boxsearch.study import _ruckle_game
 from floors import FLOOR_SHRINK, FloorUnderflow, hider_floor
 from kelley_oracle import kelley_solve
+from payoff_oracle import mixed_payoff, payoff
 
 
 def identical(alpha=0.5) -> SearchGame:
@@ -283,16 +282,13 @@ class TestSeedColumns:
         # record the tie ordering of every generator that runs; best
         # responses use the identity, the first rotation's ordering
         realized = set()
-        merge, step = _GittinsDriver._merge, _GittinsDriver.step
+        merge = _GittinsDriver._merge
 
-        def recorded(fn):
-            def wrapper(gen, *args):
-                realized.add(gen.order)
-                return fn(gen, *args)
-            return wrapper
+        def recorded(gen, *args):
+            realized.add(gen.order)
+            return merge(gen, *args)
 
-        monkeypatch.setattr(_GittinsDriver, "_merge", recorded(merge))
-        monkeypatch.setattr(_GittinsDriver, "step", recorded(step))
+        monkeypatch.setattr(_GittinsDriver, "_merge", recorded)
         game = sample_game(SCHEMES["varied"], 8, per_game_seed(83, idx))
         sol = solve(game, SolveConfig(epsilon=1e-6))
         assert sol.termination is Termination.CONVERGED
