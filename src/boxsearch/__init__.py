@@ -33,8 +33,6 @@ from .payoff import (
     TailBoundParams,
     expected_payoff,
     payoff_column,
-    payoff_cyclic,
-    payoff_truncated,
     round_robin_payoff,
     tail_params,
 )

@@ -63,10 +63,6 @@ class NumericalError(BoxSearchError):
     """Base class for numerical breakdowns."""
 
 
-class NoCycleDetected(NumericalError):
-    """A closed form was requested for a sequence without a cycle."""
-
-
 class Infeasible(NumericalError):
     pass
 

@@ -534,11 +534,13 @@ class SearchSequence:
         return view
 
     def visit_prefixes(self, counts: Sequence[int]) -> np.ndarray:
-        """The first counts[i] realized visit times of every box i,
-        concatenated in box order into one new array."""
-        return np.concatenate(
-            [buf[:k] for buf, k in zip(self._visits, counts)]
-        )
+        """The first counts[i] visit times of every box i, concatenated in
+        box order into one new array. A box with fewer realized visits
+        reads 0.0 in all its slots: no unrealized slot is read."""
+        return np.concatenate([
+            buf[:k] if k <= c else np.zeros(k)
+            for buf, c, k in zip(self._visits, self._counts, counts)
+        ])
 
     def visit_time(self, i: int, r: int) -> float:
         """tau_i(r): completion time of the r-th search of box i (r >= 1)."""

@@ -8,22 +8,19 @@ the expected detection time is
 Truncating the sum after R terms gives a lower bound. An upper bound
 follows from a worst-case continuation: under any Gittins sequence no more
 than l_hat time passes between successive visits of a box, so the tail is
-at most l_hat (1-alpha_i)^{R+1} / alpha_i. payoff_truncated() gives the
-bracket for a fixed R, from a slice of the sequence's visit times and
-the powers (1-alpha_i)^r, which are kept per game.
+at most l_hat (1-alpha_i)^{R+1} / alpha_i.
 
 payoff_column() is the one evaluator every caller uses: it brackets
 u(i, xi) for every box i at once and memoizes the column on the sequence.
 Once a sequence has a cycle (x_i visits of box i repeating forever), the
 tail is a geometric sum with ratio (1-alpha_i)^{x_i} and each box gets
-the closed form of payoff_cyclic() as a zero-width bracket, exact up to
-rounding, from one request for every box's visits. Otherwise each box
-starts from a series depth R_i fixed per game, and R is doubled for a box
-until its bracket's relative width is below PAYOFF_REL_TOL. The starting
-brackets take one array pass: one request realizes every box's R_i + 1
-visits, their times are gathered into one buffer and differenced once,
-and each box's series is one dot of its steps with its powers, the same
-floats and the same sums as payoff_truncated() forms.
+its closed form as a zero-width bracket, exact up to rounding, from one
+request for every box's visits. Otherwise each box takes its series at a
+depth R_i fixed per game, deep enough that the bracket's relative width
+is below PAYOFF_REL_TOL / 2 (see _first_depths), in one array pass: one
+request realizes every box's R_i + 1 visits, their times are gathered
+into one buffer and differenced once, and each box's series is one dot
+of its steps with the powers (1-alpha_i)^r.
 
 Every mixed payoff here is interval arithmetic over per-box brackets, so
 reported values are certified brackets rather than point estimates. A box
@@ -39,12 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoxNeverSearched,
-    CapExceeded,
-    InvalidMixture,
-    NoCycleDetected,
-)
+from .errors import BoxNeverSearched, CapExceeded, InvalidMixture
 from .gittins import SearchSequence, _stream_params
 from .model import HidingStrategy, SearchGame, _once_per_game
 
@@ -108,11 +100,14 @@ def tail_params(game: SearchGame) -> TailBoundParams:
 
 @_once_per_game
 def _first_depths(game: SearchGame) -> list[int]:
-    """The series depth R that a payoff column tries first for each box: the
-    first R with tail <= PAYOFF_REL_TOL * t_i, which suffices since t_i <=
-    tau_i(1) <= lower. 0 for a perfect box, whose payoff is its first
-    visit time. Raises CapExceeded when some box's depth is above
-    DEPTH_CAP."""
+    """The series depth R_i of each box's bracket: the first R >= 1 with
+    tail l_hat (1-alpha_i)^(R+1) / alpha_i <= PAYOFF_REL_TOL t_i
+    (1-alpha_i). The lower end is at least tau_i(1) + (1-alpha_i)
+    (tau_i(2) - tau_i(1)) >= t_i (2-alpha_i), so the bracket's relative
+    width is at most PAYOFF_REL_TOL (1-alpha_i) / (2-alpha_i) <
+    PAYOFF_REL_TOL / 2, and no box ever needs a deeper one. 0 for a
+    perfect box, whose payoff is its first visit time. Raises CapExceeded
+    when some box's depth is above DEPTH_CAP."""
     l_hat = tail_params(game).l_hat
     depths = [
         0 if a == 1.0 else max(1, math.ceil(
@@ -129,30 +124,14 @@ def _first_depths(game: SearchGame) -> list[int]:
     return depths
 
 
-@_once_per_game
-def _q_tables(game: SearchGame) -> list[np.ndarray]:
-    """Per box i, the powers (1-alpha_i)^r for r = 1, 2, ..., as far as
-    _q_powers has been asked for them."""
-    return [np.empty(0)] * game.n
-
-
-def _q_powers(game: SearchGame, i: int, R: int) -> np.ndarray:
-    """(1-alpha_i)^r for r = 1..R. A table too short is recomputed whole,
-    so every prefix holds exactly the floats of a fresh cumprod."""
-    tables = _q_tables(game)
-    if len(tables[i]) < R:
-        tables[i] = np.cumprod(np.full(R, 1.0 - game.alpha[i]))
-    return tables[i][:R]
-
-
 class _SeriesPlan(NamedTuple):
-    """The array pass over every box's first series bracket. lengths[i]
+    """The array pass over every box's series bracket. lengths[i]
     = R_i + 1 visit times of box i are gathered into one buffer, box by
     box; segments[i] = (powers, start, stop) says that box i's first time
     sits at start and its series is the dot of powers, (1-alpha_i)^r for
     r = 1..R_i, with the buffer's steps start..stop. tail[i] is the
-    bracket's width l_hat (1-alpha_i)^(R_i+1) / alpha_i, formed as in
-    payoff_truncated, and depths[i] = R_i."""
+    bracket's width l_hat (1-alpha_i)^(R_i+1) / alpha_i, and depths[i] =
+    R_i."""
 
     lengths: list[int]
     starts: np.ndarray
@@ -163,15 +142,19 @@ class _SeriesPlan(NamedTuple):
 
 @_once_per_game
 def _series_plan(game: SearchGame) -> _SeriesPlan:
-    depths = _first_depths(game)
     l_hat = tail_params(game).l_hat
-    segments, tail = [], []
+    segments, tail, depths = [], [], []
     start = 0
-    for i, (R, a) in enumerate(zip(depths, game.alpha)):
-        q_pows = _q_powers(game, i, R)
-        segments.append((q_pows, start, start + R))
-        tail_factor = (float(q_pows[-1]) if R else 1.0) * (1.0 - a)
-        tail.append(l_hat * tail_factor / a)
+    for R, t, a in zip(_first_depths(game), game.t, game.alpha):
+        # powers[r - 1] = (1-alpha)^r; should rounding in the log formula
+        # of _first_depths leave R short of its tail test, R grows here
+        powers = np.cumprod(np.full(R + 1, 1.0 - a))
+        while l_hat * powers[R] / a > PAYOFF_REL_TOL * t * (1.0 - a):
+            R += 1
+            powers = np.cumprod(np.full(R + 1, 1.0 - a))
+        segments.append((powers[:R], start, start + R))
+        tail.append(l_hat * powers[R] / a)
+        depths.append(R)
         start += R + 1
     return _SeriesPlan(
         lengths=[R + 1 for R in depths],
@@ -183,33 +166,12 @@ def _series_plan(game: SearchGame) -> _SeriesPlan:
 
 
 def release_tables(game: SearchGame) -> None:
-    """Drop the powers tables, the series plan and the index-stream
-    constants kept on game; the next call rebuilds them. A solve or p0
-    test releases them when it returns, so a game kept alive past its
-    solve, say in a pool of inputs, does not keep R floats per box."""
-    for derive in (_q_tables, _series_plan, _stream_params):
+    """Drop the series plan and the index-stream constants kept on game;
+    the next call rebuilds them. A solve or p0 test releases them when it
+    returns, so a game kept alive past its solve, say in a pool of inputs,
+    does not keep R floats per box."""
+    for derive in (_series_plan, _stream_params):
         game._derived.pop(derive.__wrapped__, None)
-
-
-def payoff_truncated(
-    game: SearchGame, i: int, xi: SearchSequence, R: int,
-) -> tuple[float, float]:
-    """(lower, upper) bracket of u(i, xi) from the first R series terms.
-
-    Needs R+1 realized visits of box i; extends xi on demand and raises
-    InsufficientPrefix when the sequence cannot reach that many visits.
-    """
-    a = game.alpha[i]
-    xi.ensure_visits(i, R + 1)
-    tau = xi.visit_times(i)[: R + 1]
-    lower = float(tau[0])
-    if R > 0:
-        q_pows = _q_powers(game, i, R)
-        lower += float(q_pows @ (tau[1:] - tau[:-1]))
-        tail_factor = float(q_pows[-1]) * (1.0 - a)
-    else:
-        tail_factor = 1.0 - a
-    return lower, lower + tail_params(game).l_hat * tail_factor / a
 
 
 class PayoffColumn(NamedTuple):
@@ -227,10 +189,11 @@ def payoff_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
     """Bracket u(i, xi) for every box, extending xi on demand.
 
     On a sequence with a cycle each bracket is the exact closed form (zero
-    width, searches_used 0); otherwise it is the series bracket to
-    relative width PAYOFF_REL_TOL, which for a perfect box is its first
-    visit time at depth 0, exact as well. The column is memoized on the
-    sequence: extension is append-only, so it never goes stale.
+    width, searches_used 0); otherwise it is the series bracket, of
+    relative width below PAYOFF_REL_TOL / 2, which for a perfect box is
+    its first visit time at depth 0, exact as well. The column is
+    memoized on the sequence: extension is append-only, so it never goes
+    stale.
     """
     column = xi._column
     if column is None:
@@ -239,63 +202,36 @@ def payoff_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
 
 
 def _column_uncached(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
-    """The closed form on a cycle, the array pass where it applies, else
-    each box on its own."""
+    """The closed form on a cycle, else the series."""
     if xi.cycle is not None:
         return _cyclic_column(game, xi)
-    if all(xi.num_visits(i) > 0 or xi.can_visit_more(i)
-           for i in range(game.n)):
-        return _series_column(game, xi)
-    lower, upper, used = zip(
-        *(_box_bracket(game, i, xi) for i in range(game.n))
-    )
-    return PayoffColumn(np.array(lower), np.array(upper), used)
+    return _series_column(game, xi)
 
 
 def _series_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
-    """The column of a sequence without a cycle that searches every box:
-    one request and one array pass for every box's first bracket, then
-    the doubled depths, box by box, where a bracket is still too wide."""
+    """The column of a sequence without a cycle: one request and one array
+    pass over every box's series at its depth from _series_plan. A box xi
+    never searches (p_i = 0 in its counter) reads inf, at depth 0."""
     plan = _series_plan(game)
-    xi.ensure_visits(range(game.n), plan.lengths)
+    never = [i for i in range(game.n)
+             if not xi.num_visits(i) and not xi.can_visit_more(i)]
+    lengths = plan.lengths
+    if never:
+        lengths = [0 if i in never else k for i, k in enumerate(lengths)]
+    xi.ensure_visits(range(game.n), lengths)
     tau = xi.visit_prefixes(plan.lengths)
     steps = tau[1:] - tau[:-1]
-    # one dot per box keeps each series summed as payoff_truncated sums it
+    # one dot per box keeps each series summed in the order of the
+    # per-box form tau_i(1) + q_pows @ diff(tau_i)
     series = [q_pows.dot(steps[start:stop])
               for q_pows, start, stop in plan.segments]
     lower = tau[plan.starts] + series
     upper = lower + plan.tail
-    fits = upper <= lower * (1.0 + PAYOFF_REL_TOL)
     used = plan.depths
-    if not fits.all():
-        used = list(used)
-        for i in np.flatnonzero(~fits).tolist():
-            lower[i], upper[i], used[i] = _series_bracket(
-                game, i, xi, 2 * used[i]
-            )
-        used = tuple(used)
+    if never:
+        lower[never] = upper[never] = math.inf
+        used = tuple(0 if i in never else R for i, R in enumerate(used))
     return PayoffColumn(lower, upper, used)
-
-
-def _series_bracket(game: SearchGame, i: int, xi: SearchSequence,
-                    R: int) -> tuple[float, float, int]:
-    """The series bracket of box i from depth R, doubling R until its
-    relative width is below PAYOFF_REL_TOL; the depth comes last."""
-    while True:
-        lower, upper = payoff_truncated(game, i, xi, R)
-        if upper <= lower * (1.0 + PAYOFF_REL_TOL):
-            return lower, upper, R
-        R *= 2
-
-
-def _box_bracket(game: SearchGame, i: int,
-                 xi: SearchSequence) -> tuple[float, float, int]:
-    """Box i's bracket on its own, on a sequence without a cycle: inf for
-    a box xi never searches, else the series (at depth 0 for a perfect
-    box: its first visit time)."""
-    if xi.num_visits(i) == 0 and not xi.can_visit_more(i):
-        return math.inf, math.inf, 0
-    return _series_bracket(game, i, xi, _first_depths(game)[i])
 
 
 def _cyclic_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
@@ -336,14 +272,6 @@ def _cyclic_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
         # qc has absorbed the (1-alpha_i)^R factor by continuing from qr
         values.append(tau[0] + u_R + A_i / (1.0 - q**x_i))
     return PayoffColumn(np.array(values), np.array(values), (0,) * game.n)
-
-
-def payoff_cyclic(game: SearchGame, i: int, xi: SearchSequence) -> float:
-    """Closed-form u(i, xi) once xi's cycle is known: box i of its payoff
-    column (see _cyclic_column), inf for a box its pattern leaves out."""
-    if xi.cycle is None:
-        raise NoCycleDetected("sequence has no detected cycle")
-    return float(payoff_column(game, xi).lower[i])
 
 
 def round_robin_payoff(game: SearchGame, i: int) -> float:

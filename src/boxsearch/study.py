@@ -41,7 +41,6 @@ RUCKLE_CSV_VERSION = "boxsearch-ruckle-v1"
 # extract_tie_index locates the search h where p*'s two indices meet, to
 # this relative tolerance, since p* itself comes from a float formula
 _RUCKLE_H_REL_TOL = 1e-6
-_RUCKLE_MAX_H = 512
 
 
 @dataclass(frozen=True)
@@ -179,38 +178,48 @@ def _ruckle_value(game: SearchGame, p: HidingStrategy) -> float:
     return expected_payoff(game, p, seq).midpoint
 
 
+def _ruckle_max_h(alpha: float) -> int:
+    """The last search h that the Ruckle scans look at. u(p_h) = (1/alpha
+    + x (1 + alpha h)) / (1 + alpha x) with x = (1-alpha)^(h-1), which
+    for small alpha is about 1/alpha + s e^-s at s = alpha h: its peak is
+    near h = 1/alpha (at most 1/alpha + 1 over alpha in 1e-4..1), so
+    2/alpha + 2 leaves room for the decrease after it."""
+    return math.ceil(2.0 / alpha) + 2
+
+
 def _ruckle_pstar(alpha: float) -> tuple[float, int]:
     """Optimal hiding probability for box 1 in the perfect-box-2 game.
 
     u(p) is piecewise-linear concave and its kinks are exactly the tie
     strategies p_h, so the maximum over h of u(p_h) locates the optimum;
     values along the increasing path p_1 < p_2 < ... are unimodal, so the
-    scan stops at the first decrease.
+    scan stops at the first decrease. Raises BoxSearchError when no
+    decrease comes by _ruckle_max_h(alpha).
     """
     game = _ruckle_game(alpha)
     best_h, best_value = 1, -math.inf
-    for h in range(1, _RUCKLE_MAX_H + 1):
+    for h in range(1, _ruckle_max_h(alpha) + 1):
         value = _ruckle_value(game, _ruckle_tie_strategy(alpha, h))
         if value < best_value * (1.0 - 1e-13):
-            break
+            return _ruckle_tie_strategy(alpha, best_h).p[0], best_h
         if value > best_value:
             best_h, best_value = h, value
-    return _ruckle_tie_strategy(alpha, best_h).p[0], best_h
+    raise BoxSearchError(
+        f"u(p_h) not past its peak by h = {h} at alpha={alpha}"
+    )
 
 
 def extract_tie_index(alpha: float, p_star_1: float) -> int:
     """First search at which the counter's two indices agree within
     relative 1e-6, simulating the counter that searches box 1 until the
-    tie."""
+    tie; no later than _ruckle_max_h(alpha), as the scan for p*."""
     i2 = 1.0 - p_star_1
     idx = p_star_1 * alpha
-    for r in range(1, _RUCKLE_MAX_H + 1):
+    for r in range(1, _ruckle_max_h(alpha) + 1):
         if abs(idx - i2) <= _RUCKLE_H_REL_TOL * max(idx, i2):
             return r
         idx *= 1.0 - alpha
-    raise BoxSearchError(
-        f"no index tie within {_RUCKLE_MAX_H} searches at alpha={alpha}"
-    )
+    raise BoxSearchError(f"no index tie within {r} searches at alpha={alpha}")
 
 
 def ruckle_sweep(alphas: Iterable[float]) -> list[RuckleRecord]:

@@ -5,12 +5,21 @@ is the per-box view the tests compare against it: payoff() reads box i
 of the column as a PayoffBracket, or INFINITE_PAYOFF for a box the
 sequence never searches, and mixed_payoff() sums a searcher mixture's
 brackets for one box, box by box, with fsum on each side.
+payoff_truncated() is the per-box reference for the column's array pass:
+box i's series bracket at any depth R, from its own visit times.
 """
 
 import math
 
+import numpy as np
+
 from boxsearch.errors import BoxNeverSearched
-from boxsearch.payoff import PayoffBracket, check_mixture_weights, payoff_column
+from boxsearch.payoff import (
+    PayoffBracket,
+    check_mixture_weights,
+    payoff_column,
+    tail_params,
+)
 
 
 class _InfinitePayoff:
@@ -53,3 +62,21 @@ def mixed_payoff(game, i, theta):
         upper.append(w * br.upper)
         used = max(used, br.searches_used)
     return PayoffBracket(math.fsum(lower), math.fsum(upper), used)
+
+
+def payoff_truncated(game, i, xi, R):
+    """(lower, upper) bracket of u(i, xi) from the first R series terms.
+
+    Needs R+1 realized visits of box i; extends xi on demand and raises
+    InsufficientPrefix when the sequence cannot reach that many visits.
+    """
+    a = game.alpha[i]
+    xi.ensure_visits(i, R + 1)
+    tau = xi.visit_times(i)[: R + 1]
+    lower = float(tau[0])
+    tail_factor = 1.0 - a
+    if R > 0:
+        q_pows = np.cumprod(np.full(R, 1.0 - a))
+        lower += float(q_pows @ (tau[1:] - tau[:-1]))
+        tail_factor = float(q_pows[-1]) * (1.0 - a)
+    return lower, lower + tail_params(game).l_hat * tail_factor / a

@@ -7,6 +7,7 @@ truncated brackets.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from boxsearch import (
     gittins_sequence,
     make_cyclic_game,
     p0,
-    payoff_cyclic,
-    payoff_truncated,
     round_robin_payoff,
     sample_game,
     solve,
@@ -32,16 +31,14 @@ from boxsearch.errors import (
     CapExceeded,
     InsufficientPrefix,
     InvalidMixture,
-    NoCycleDetected,
 )
 from boxsearch.gittins import TieOrdering, _stream_params, from_pattern
 from boxsearch.model import per_game_seed
 from boxsearch.payoff import (
     DEPTH_CAP,
+    PAYOFF_REL_TOL,
     PayoffColumn,
-    _box_bracket,
     _first_depths,
-    _q_tables,
     _series_plan,
     payoff_column,
 )
@@ -49,7 +46,12 @@ from boxsearch.solver import test_p0_optimality as p0_optimality
 from floors import hider_floor
 from gittins_oracle import OracleSequence
 from mc_oracle import mc_estimate
-from payoff_oracle import INFINITE_PAYOFF, mixed_payoff, payoff
+from payoff_oracle import (
+    INFINITE_PAYOFF,
+    mixed_payoff,
+    payoff,
+    payoff_truncated,
+)
 
 
 def identical() -> SearchGame:
@@ -174,11 +176,65 @@ class TestFirstDepths:
                            match="box 0 needs a series depth of 50983481 "):
             _first_depths(game)
 
+    def test_first_depths_are_final(self, monkeypatch):
+        # every series column the solve and the p0 test build, and the
+        # columns of boundary strategies, is taken at the first depths,
+        # within the tail test that fixed them (up to the rounding of
+        # upper) and to a relative width of at most PAYOFF_REL_TOL / 2: no
+        # box needs a deeper bracket
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench")
+        )
+        from workloads import stratified_games
+
+        columns = []
+        series_column = payoff_module._series_column
+
+        def recorded(game, xi):
+            columns.append((game, series_column(game, xi)))
+            return columns[-1][1]
+
+        monkeypatch.setattr(payoff_module, "_series_column", recorded)
+        corners = [
+            SearchGame(t=(1e-3, 1e3), alpha=(0.5, 0.5)),
+            SearchGame(t=(1.0, 2.0, 1.5), alpha=(1e-3, 0.999999, 0.5)),
+            SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.3, 1.0, 0.6),
+                       allow_perfect=True),
+        ]
+        for game in stratified_games(1, 3, 60) + stratified_games(1, 8, 10):
+            solve(game)
+            p0_optimality(game)
+        for game in corners:
+            solve(game)
+            p0_optimality(game)
+            for i in range(game.n):
+                # all mass on box i, and none on it
+                for raw in (np.eye(game.n)[i], 1.0 - np.eye(game.n)[i]):
+                    p = HidingStrategy(tuple((raw / raw.sum()).tolist()))
+                    payoff_column(game, gittins_sequence(game, p))
+        assert {game for game, _ in columns} >= set(corners)
+        never = 0
+        for game, (lower, upper, used) in columns:
+            depths = _first_depths(game)
+            for i in range(game.n):
+                if lower[i] == math.inf:
+                    assert (upper[i], used[i]) == (math.inf, 0)
+                    never += 1
+                    continue
+                assert used[i] == depths[i]
+                t, a = game.t[i], game.alpha[i]
+                assert upper[i] - lower[i] <= (
+                    PAYOFF_REL_TOL * t * (1.0 - a) + math.ulp(upper[i])
+                )
+                assert upper[i] - lower[i] <= PAYOFF_REL_TOL / 2 * lower[i]
+        assert len(columns) > 1000 and never > 0
+
 
 class TestBitIdentity:
     """Visit times realized in blocks equal adding the search times one at
-    a time, and the series over memoized powers equals the inline form
-    np.cumprod(np.full(R, 1 - a)) @ np.diff(tau), bit for bit."""
+    a time, and the column's array pass equals the per-box form
+    np.cumprod(np.full(R, 1 - a)) @ np.diff(tau) of the oracle's
+    payoff_truncated, bit for bit."""
 
     @staticmethod
     def counters():
@@ -190,15 +246,23 @@ class TestBitIdentity:
             yield game, p, None
             sigma = TieOrdering(tuple(rng.permutation(n).tolist()))
             yield game, p0(game), sigma
+            # a counter that never searches one box
+            raw[int(rng.integers(0, n))] = 0.0
+            yield game, HidingStrategy(tuple((raw / raw.sum()).tolist())), None
+        # a perfect box, searched or not
+        game = SearchGame(t=(1.0, 2.0, 1.5), alpha=(0.3, 1.0, 0.6),
+                          allow_perfect=True)
+        for p in ((0.5, 0.2, 0.3), (0.5, 0.0, 0.5), (0.0, 0.4, 0.6)):
+            yield game, HidingStrategy(p), None
 
     def test_visit_times_and_series(self):
         for game, p, order in self.counters():
             seq = gittins_sequence(game, p, order)
             n, depths = game.n, _first_depths(game)
-            # the requests payoff_column() makes, then a length
-            seq.ensure_visits(list(range(n)), [d + 1 for d in depths])
+            column = payoff_column(game, seq)
             for i in range(n):
-                seq.ensure_visits(i, 2 * depths[i] + 1)
+                if seq.can_visit_more(i):
+                    seq.ensure_visits(i, 2 * depths[i] + 1)
             seq.ensure_length(len(seq) + 37)
             replay = OracleSequence(game, p, order)
             replay.ensure_length(len(seq))
@@ -207,44 +271,41 @@ class TestBitIdentity:
                 times = seq.visit_times(i)
                 assert times.dtype == np.float64 and not times.flags.writeable
                 assert times.tolist() == replay.visits[i]
+                if not times.size:
+                    continue
                 a = game.alpha[i]
-                # short after long: a prefix of the grown powers table
                 for R in (7, 2 * depths[i], 1, depths[i]):
+                    if R + 1 > times.size:
+                        continue
                     tau = np.asarray(times.tolist()[:R + 1])
                     q_pows = np.cumprod(np.full(R, 1.0 - a))
                     lower = float(tau[0]) + float(q_pows @ np.diff(tau))
-                    upper = lower + l_hat * (float(q_pows[-1]) * (1.0 - a)) / a
+                    tail = float(q_pows[-1]) if R else 1.0
+                    upper = lower + l_hat * (tail * (1.0 - a)) / a
                     assert payoff_truncated(game, i, seq, R) == (lower, upper)
+                    if R == depths[i]:
+                        assert (column.lower[i], column.upper[i]) == (
+                            lower, upper
+                        )
 
     def test_array_column_equals_payoff_truncated(self):
         # the column's one array pass against the per-box evaluation at
-        # each box's first depth
+        # each box's depth; a box the counter never searches reads
+        # (inf, inf, 0)
         for game, p, order in self.counters():
             seq = gittins_sequence(game, p, order)
             column = payoff_column(game, seq)
             depths = _first_depths(game)
-            assert column.searches_used == tuple(depths)
             for i in range(game.n):
-                assert (column.lower[i], column.upper[i]) == (
-                    payoff_truncated(game, i, seq, depths[i])
-                )
-
-    def test_wide_brackets_double_box_by_box(self, monkeypatch):
-        # first depths fixed at the default tolerance, brackets checked at
-        # a tighter one: every box's bracket is too wide and doubles
-        game = sample_game(SCHEMES["varied"], 4, 97)
-        depths = _first_depths(game)
-        monkeypatch.setattr(payoff_module, "PAYOFF_REL_TOL", 1e-13)
-        seq = gittins_sequence(game, p0(game))
-        column = payoff_column(game, seq)
-        for i in range(game.n):
-            R = 2 * depths[i]
-            lower, upper = payoff_truncated(game, i, seq, R)
-            while not upper <= lower * (1.0 + 1e-13):
-                R *= 2
-                lower, upper = payoff_truncated(game, i, seq, R)
-            assert column.searches_used[i] == R
-            assert (column.lower[i], column.upper[i]) == (lower, upper)
+                bracket = (column.lower[i], column.upper[i],
+                           column.searches_used[i])
+                if p.p[i] == 0.0:
+                    assert seq.num_visits(i) == 0
+                    assert bracket == (math.inf, math.inf, 0)
+                else:
+                    assert bracket == (
+                        *payoff_truncated(game, i, seq, depths[i]), depths[i]
+                    )
 
     def test_solve_and_p0_test_match_the_per_box_path(self, monkeypatch):
         games = [sample_game(SCHEMES["varied"], n, per_game_seed(17, n))
@@ -266,10 +327,13 @@ class TestBitIdentity:
             return out
 
         def per_box_column(game, xi):
-            lower, upper, used = zip(
-                *(_box_bracket(game, i, xi) for i in range(game.n))
-            )
-            return PayoffColumn(np.array(lower), np.array(upper), used)
+            # the solve and the p0 test build no counter that skips a box,
+            # so every box has its series
+            depths = _first_depths(game)
+            lower, upper = zip(*(payoff_truncated(game, i, xi, depths[i])
+                                 for i in range(game.n)))
+            return PayoffColumn(np.array(lower), np.array(upper),
+                                tuple(depths))
 
         array_path = outputs()
         monkeypatch.setattr(payoff_module, "_series_column", per_box_column)
@@ -279,12 +343,12 @@ class TestBitIdentity:
         game = sample_game(SCHEMES["varied"], 4, 95)
 
         def kept():
-            return [d for d in (_q_tables, _series_plan, _stream_params)
+            return [d for d in (_series_plan, _stream_params)
                     if d.__wrapped__ in game._derived]
 
         payoff(game, 0, gittins_sequence(game, p0(game)))
-        assert _q_tables(game)[0].size > 0 and _series_plan(game).tail.size
-        assert kept() == [_q_tables, _series_plan, _stream_params]
+        assert _series_plan(game).segments[0][0].size > 0
+        assert kept() == [_series_plan, _stream_params]
         for run in (solve, p0_optimality):
             run(game)
             assert kept() == []
@@ -324,8 +388,9 @@ class TestPayoffCyclic:
     def test_closed_form_exact(self):
         game = self.game()
         seq = gittins_sequence(game, p0(game))
-        assert payoff_cyclic(game, 0, seq) == pytest.approx(2.0, rel=1e-12)
-        assert payoff_cyclic(game, 1, seq) == pytest.approx(10 / 3, rel=1e-12)
+        column = payoff_column(game, seq)
+        assert column.lower[0] == pytest.approx(2.0, rel=1e-12)
+        assert column.lower[1] == pytest.approx(10 / 3, rel=1e-12)
 
     def test_series_brackets_closed_form(self):
         game = self.game()
@@ -350,7 +415,7 @@ class TestPayoffCyclic:
             p = HidingStrategy(tuple(raw / raw.sum()))
             seq = gittins_sequence(game, p, TieOrdering.identity(n))
             for i in range(n):
-                exact = payoff_cyclic(game, i, seq)
+                exact = payoff_column(game, seq).lower[i]
                 lower, upper = series_bracket(game, i, seq)
                 assert 0.5 * (lower + upper) == pytest.approx(exact, rel=1e-9)
 
@@ -358,7 +423,7 @@ class TestPayoffCyclic:
         game = self.game()
         seq = gittins_sequence(game, p0(game))
         for i in range(game.n):
-            exact = payoff_cyclic(game, i, seq)
+            exact = payoff_column(game, seq).lower[i]
             br = payoff(game, i, seq)
             assert (br.lower, br.upper, br.searches_used) == (exact, exact, 0)
         # the same boxes without the declared structure: no cycle, series
@@ -369,11 +434,6 @@ class TestPayoffCyclic:
             br = payoff(undeclared, i, plain)
             assert br.width > 0.0
             assert br.searches_used > 0
-
-    def test_errors(self):
-        game = identical()
-        with pytest.raises(NoCycleDetected):
-            payoff_cyclic(game, 0, gittins_sequence(game, p0(game)))
 
 
 class TestRoundRobin:

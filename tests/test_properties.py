@@ -11,12 +11,12 @@ from boxsearch import (
     gittins_sequence,
     make_cyclic_game,
     p0,
-    payoff_truncated,
     solve_hider_lp,
     validate_game,
 )
 from boxsearch.lp import recover_searcher_mixture
 from gittins_oracle import replay_check
+from payoff_oracle import payoff_truncated
 
 
 @st.composite

@@ -2,10 +2,15 @@
 
 import pytest
 
+import boxsearch.study as study_module
 from boxsearch import SCHEMES, future_benefit, ruckle_sweep, run_batch, summarize
 from boxsearch.errors import BoxSearchError, EmptyGame
 from boxsearch.study import (
     BatchRecord,
+    _ruckle_game,
+    _ruckle_pstar,
+    _ruckle_tie_strategy,
+    _ruckle_value,
     extract_tie_index,
     read_batch_csv,
     read_ruckle_csv,
@@ -126,6 +131,24 @@ class TestRuckleSweep:
                 assert r.p_star_1 == pytest.approx(r.p0_1, abs=1e-6)
             else:
                 assert r.p_star_1 > r.p0_1 + 1e-6
+
+    def test_small_alpha_reports_the_peak(self):
+        # u(p_h) peaks near h = 1/alpha = 1000, past the scan's old cap of
+        # 512 searches, where u was still rising
+        (r,) = ruckle_sweep([0.001])
+        game = _ruckle_game(0.001)
+        u = {h: _ruckle_value(game, _ruckle_tie_strategy(0.001, h))
+             for h in (r.h - 1, r.h, r.h + 1)}
+        assert u[r.h] >= max(u[r.h - 1], u[r.h + 1])
+        assert r.h > 512
+        assert r.p_star_1 == _ruckle_tie_strategy(0.001, r.h).p[0]
+
+    def test_scan_that_ends_before_the_peak_raises(self, monkeypatch):
+        monkeypatch.setattr(study_module, "_ruckle_max_h", lambda alpha: 512)
+        with pytest.raises(BoxSearchError, match="not past its peak"):
+            _ruckle_pstar(0.001)
+        with pytest.raises(BoxSearchError, match="no index tie within 512"):
+            extract_tie_index(0.001, _ruckle_tie_strategy(0.001, 1000).p[0])
 
     def test_extract_tie_index_at_kinks(self):
         for alpha, h in ((0.5, 2), (0.3, 3), (0.35, 3)):
