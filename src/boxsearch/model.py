@@ -44,14 +44,15 @@ _SUM_TOL = 1e-12
 class CyclicStructure:
     """Declared cyclic exponents x_i with common base c = (1-alpha_i)^x_i.
 
-    x_hat is the number of searches per cycle (sum of x_i) and t_hat the
-    time one full cycle takes (sum of x_i * t_i).
+    x_hat is the number of searches per cycle (sum of x_i).
     """
 
     x: tuple[int, ...]
     c: float
-    x_hat: int
-    t_hat: float
+
+    @property
+    def x_hat(self) -> int:
+        return sum(self.x)
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,6 @@ class SearchGame:
                 raise CyclicInconsistent(
                     f"(1-alpha[{i}])^{xi} = {got} != declared base {cyc.c}"
                 )
-        if cyc.x_hat != sum(cyc.x):
-            raise CyclicInconsistent("x_hat must equal sum(x)")
-        t_hat = sum(xi * ti for xi, ti in zip(cyc.x, self.t))
-        if cyc.t_hat != t_hat:
-            raise CyclicInconsistent("t_hat must equal sum(x_i * t_i)")
 
     @property
     def n(self) -> int:
@@ -232,13 +228,8 @@ def validate_game(raw: Mapping | SearchGame) -> SearchGame:
     cyclic = None
     if raw.get("cyclic") is not None:
         decl = raw["cyclic"]
-        x = tuple(int(v) for v in decl["x"])
-        c = float(decl["c"])
         cyclic = CyclicStructure(
-            x=x,
-            c=c,
-            x_hat=sum(x),
-            t_hat=sum(xi * ti for xi, ti in zip(x, t)),
+            x=tuple(int(v) for v in decl["x"]), c=float(decl["c"])
         )
     return SearchGame(t=t, alpha=alpha, cyclic=cyclic, allow_perfect=allow_perfect)
 
@@ -322,10 +313,4 @@ def make_cyclic_game(
     if not (0.0 < c < 1.0):
         raise BaseOutOfRange(f"base c = {c} not in (0, 1)")
     alpha = tuple(1.0 - c ** (1.0 / xi) for xi in x)
-    cyc = CyclicStructure(
-        x=x,
-        c=c,
-        x_hat=sum(x),
-        t_hat=sum(xi * ti for xi, ti in zip(x, t)),
-    )
-    return SearchGame(t=t, alpha=alpha, cyclic=cyc)
+    return SearchGame(t=t, alpha=alpha, cyclic=CyclicStructure(x=x, c=c))

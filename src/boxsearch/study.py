@@ -2,9 +2,12 @@
 
 run_batch samples games, tests whether the heuristic strategy p0 is
 optimal, and runs the iterative solver where it is not, recording how far
-p0 falls below the optimal value. ruckle_sweep treats the classic two-box
-game with one perfect box. two_box_study measures how the sign of
-p*_1 - p0_1 lines up with the future-benefit ordering of the boxes.
+p0 falls below the optimal value; a solve that does not converge is
+recorded with its termination as the error. ruckle_sweep treats the
+classic two-box game with one perfect box, locating p* by a bisection
+over the tie strategies' search index h. two_box_study measures how the
+sign of p*_1 - p0_1 lines up with the future-benefit ordering of the
+boxes. Batch and Ruckle records share one versioned CSV codec.
 
 Per-game RNG streams derive from (seed, game index) only, so results are
 independent of evaluation order and reproducible from the seed.
@@ -13,6 +16,7 @@ independent of evaluation order and reproducible from the seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -33,14 +37,10 @@ from .model import (
     sample_game,
 )
 from .payoff import expected_payoff
-from .solver import SolveConfig, solve, test_p0_optimality
+from .solver import SolveConfig, Termination, solve, test_p0_optimality
 
 BATCH_CSV_VERSION = "boxsearch-batch-v1"
 RUCKLE_CSV_VERSION = "boxsearch-ruckle-v1"
-
-# extract_tie_index locates the search h where p*'s two indices meet, to
-# this relative tolerance, since p* itself comes from a float formula
-_RUCKLE_H_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,7 @@ def _run_one(idx, scheme_name, game, config) -> BatchRecord:
     u_p0 = result.u_p0.midpoint
     v_star = result.v_D
     iterations = 0
+    error = None
     if p0_optimal:
         # v_D and u(p0) are independently rounded values of one number
         pct_below = 0.0
@@ -130,11 +131,14 @@ def _run_one(idx, scheme_name, game, config) -> BatchRecord:
         v_star = sol.U
         iterations = sol.iterations
         pct_below = 100.0 * (v_star - u_p0) / v_star
+        if sol.termination is not Termination.CONVERGED:
+            # v_star is only an upper bound, so summarize leaves it out
+            error = f"{sol.termination.value}: gap {sol.gap!r}"
     return BatchRecord(
         index=idx, scheme=scheme_name, t=game.t, alpha=game.alpha,
         v_star=v_star, u_p0=u_p0, p0_optimal=p0_optimal,
         pct_below=pct_below, iterations=iterations,
-        wall_time=time.perf_counter() - started,
+        wall_time=time.perf_counter() - started, error=error,
     )
 
 
@@ -179,7 +183,7 @@ def _ruckle_value(game: SearchGame, p: HidingStrategy) -> float:
 
 
 def _ruckle_max_h(alpha: float) -> int:
-    """The last search h that the Ruckle scans look at. u(p_h) = (1/alpha
+    """The last search h that the Ruckle search looks at. u(p_h) = (1/alpha
     + x (1 + alpha h)) / (1 + alpha x) with x = (1-alpha)^(h-1), which
     for small alpha is about 1/alpha + s e^-s at s = alpha h: its peak is
     near h = 1/alpha (at most 1/alpha + 1 over alpha in 1e-4..1), so
@@ -188,53 +192,52 @@ def _ruckle_max_h(alpha: float) -> int:
 
 
 def _ruckle_pstar(alpha: float) -> tuple[float, int]:
-    """Optimal hiding probability for box 1 in the perfect-box-2 game.
+    """Optimal hiding probability for box 1 in the perfect-box-2 game, and
+    the search h at which its two Gittins indices tie.
 
     u(p) is piecewise-linear concave and its kinks are exactly the tie
-    strategies p_h, so the maximum over h of u(p_h) locates the optimum;
-    values along the increasing path p_1 < p_2 < ... are unimodal, so the
-    scan stops at the first decrease. Raises BoxSearchError when no
-    decrease comes by _ruckle_max_h(alpha).
+    strategies p_h, so the maximum over h of u(p_h) locates the optimum.
+    Values along the increasing path p_1 < p_2 < ... are unimodal, so
+    the first h whose successor is lower (relative 1e-13, below which
+    two values are the same number rounded apart) is the peak; a
+    bisection on that test finds it in about 2 log2(2 / alpha)
+    evaluations. Raises BoxSearchError when u has not decreased by
+    _ruckle_max_h(alpha).
     """
     game = _ruckle_game(alpha)
-    best_h, best_value = 1, -math.inf
-    for h in range(1, _ruckle_max_h(alpha) + 1):
+
+    def past_peak(h: int) -> bool:
         value = _ruckle_value(game, _ruckle_tie_strategy(alpha, h))
-        if value < best_value * (1.0 - 1e-13):
-            return _ruckle_tie_strategy(alpha, best_h).p[0], best_h
-        if value > best_value:
-            best_h, best_value = h, value
-    raise BoxSearchError(
-        f"u(p_h) not past its peak by h = {h} at alpha={alpha}"
-    )
+        after = _ruckle_value(game, _ruckle_tie_strategy(alpha, h + 1))
+        return after < value * (1.0 - 1e-13)
 
-
-def extract_tie_index(alpha: float, p_star_1: float) -> int:
-    """First search at which the counter's two indices agree within
-    relative 1e-6, simulating the counter that searches box 1 until the
-    tie; no later than _ruckle_max_h(alpha), as the scan for p*."""
-    i2 = 1.0 - p_star_1
-    idx = p_star_1 * alpha
-    for r in range(1, _ruckle_max_h(alpha) + 1):
-        if abs(idx - i2) <= _RUCKLE_H_REL_TOL * max(idx, i2):
-            return r
-        idx *= 1.0 - alpha
-    raise BoxSearchError(f"no index tie within {r} searches at alpha={alpha}")
+    lo, hi = 1, _ruckle_max_h(alpha)
+    if not past_peak(hi):
+        raise BoxSearchError(
+            f"u(p_h) not past its peak by h = {hi} at alpha={alpha}"
+        )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if past_peak(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return _ruckle_tie_strategy(alpha, lo).p[0], lo
 
 
 def ruckle_sweep(alphas: Iterable[float]) -> list[RuckleRecord]:
     """For each alpha: two boxes with t=(1,1), box 2 perfect. Tests p0
-    optimality; where suboptimal, locates p* and the tie search index h."""
+    optimality; where suboptimal, locates p* and the search h at which
+    its indices tie. Where p0 is optimal, h = 1: p0 ties the indices at
+    the first search."""
     records = []
     for alpha in alphas:
         game = _ruckle_game(alpha)
         p0_1 = p0(game).p[0]
-        result = test_p0_optimality(game)
-        if result.optimal:
-            p_star_1 = p0_1
+        if test_p0_optimality(game).optimal:
+            p_star_1, h = p0_1, 1
         else:
-            p_star_1, _ = _ruckle_pstar(alpha)
-        h = extract_tie_index(alpha, p_star_1)
+            p_star_1, h = _ruckle_pstar(alpha)
         records.append(
             RuckleRecord(alpha=alpha, p0_1=p0_1, p_star_1=p_star_1, h=h)
         )
@@ -277,91 +280,63 @@ def two_box_study(
 # CSV round-trip
 # ---------------------------------------------------------------------------
 
-_BATCH_FIELDS = [
-    "index", "scheme", "t", "alpha", "v_star", "u_p0", "p0_optimal",
-    "pct_below", "iterations", "wall_time", "error",
-]
-_RUCKLE_FIELDS = ["alpha", "p0_1", "p_star_1", "h"]
+# (encode, decode) per record field, keyed by its annotation's text (the
+# module postpones annotations): floats by repr, so they read back
+# exactly; None as an empty cell
+_CSV_CODECS = {
+    "int": (str, int),
+    "str": (str, str),
+    "float": (repr, float),
+    "tuple[float, ...]": (
+        lambda v: " ".join(map(repr, v)),
+        lambda s: tuple(map(float, s.split())),
+    ),
+    "bool | None": (
+        lambda v: "" if v is None else str(v),
+        lambda s: None if s == "" else s == "True",
+    ),
+    "str | None": (lambda v: v or "", lambda s: s or None),
+}
 
 
-def _floats_to_field(values: tuple[float, ...]) -> str:
-    return " ".join(repr(v) for v in values)
+def _write_csv(records, path, cls, version: str) -> None:
+    """A version line, a header of cls's field names, one row per record."""
+    fields = dataclasses.fields(cls)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {version}\n")
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in fields])
+        for r in records:
+            writer.writerow(
+                [_CSV_CODECS[f.type][0](getattr(r, f.name)) for f in fields]
+            )
 
 
-def _field_to_floats(field: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in field.split())
+def _read_csv(path, cls, version: str) -> list:
+    fields = dataclasses.fields(cls)
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if not first.startswith(f"# {version}"):
+            raise BoxSearchError(
+                f"unrecognized CSV version {first!r}, expected {version!r}"
+            )
+        return [
+            cls(**{f.name: _CSV_CODECS[f.type][1](row[f.name]) for f in fields})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def write_batch_csv(records: Iterable[BatchRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {BATCH_CSV_VERSION}\n")
-        writer = csv.DictWriter(fh, fieldnames=_BATCH_FIELDS)
-        writer.writeheader()
-        for r in records:
-            writer.writerow({
-                "index": r.index,
-                "scheme": r.scheme,
-                "t": _floats_to_field(r.t),
-                "alpha": _floats_to_field(r.alpha),
-                "v_star": repr(r.v_star),
-                "u_p0": repr(r.u_p0),
-                "p0_optimal": "" if r.p0_optimal is None else str(r.p0_optimal),
-                "pct_below": repr(r.pct_below),
-                "iterations": r.iterations,
-                "wall_time": repr(r.wall_time),
-                "error": r.error or "",
-            })
+    _write_csv(records, path, BatchRecord, BATCH_CSV_VERSION)
 
 
 def read_batch_csv(path) -> list[BatchRecord]:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith(f"# {BATCH_CSV_VERSION}"):
-            raise BoxSearchError(f"unrecognized batch CSV version: {first!r}")
-        records = []
-        for row in csv.DictReader(fh):
-            records.append(BatchRecord(
-                index=int(row["index"]),
-                scheme=row["scheme"],
-                t=_field_to_floats(row["t"]),
-                alpha=_field_to_floats(row["alpha"]),
-                v_star=float(row["v_star"]),
-                u_p0=float(row["u_p0"]),
-                p0_optimal=(None if row["p0_optimal"] == ""
-                            else row["p0_optimal"] == "True"),
-                pct_below=float(row["pct_below"]),
-                iterations=int(row["iterations"]),
-                wall_time=float(row["wall_time"]),
-                error=row["error"] or None,
-            ))
-    return records
+    return _read_csv(path, BatchRecord, BATCH_CSV_VERSION)
 
 
 def write_ruckle_csv(records: Iterable[RuckleRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {RUCKLE_CSV_VERSION}\n")
-        writer = csv.DictWriter(fh, fieldnames=_RUCKLE_FIELDS)
-        writer.writeheader()
-        for r in records:
-            writer.writerow({
-                "alpha": repr(r.alpha),
-                "p0_1": repr(r.p0_1),
-                "p_star_1": repr(r.p_star_1),
-                "h": r.h,
-            })
+    _write_csv(records, path, RuckleRecord, RUCKLE_CSV_VERSION)
 
 
 def read_ruckle_csv(path) -> list[RuckleRecord]:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith(f"# {RUCKLE_CSV_VERSION}"):
-            raise BoxSearchError(f"unrecognized ruckle CSV version: {first!r}")
-        return [
-            RuckleRecord(
-                alpha=float(row["alpha"]),
-                p0_1=float(row["p0_1"]),
-                p_star_1=float(row["p_star_1"]),
-                h=int(row["h"]),
-            )
-            for row in csv.DictReader(fh)
-        ]
+    return _read_csv(path, RuckleRecord, RUCKLE_CSV_VERSION)

@@ -7,6 +7,7 @@ import pytest
 
 from boxsearch import (
     SCHEMES,
+    CyclicStructure,
     SearchGame,
     HidingStrategy,
     future_benefit,
@@ -43,8 +44,8 @@ class TestValidateGame:
             "t": [1, 1], "alpha": [0.75, 0.5],
             "cyclic": {"c": 0.25, "x": [1, 2]},
         })
+        assert game.cyclic == CyclicStructure(x=(1, 2), c=0.25)
         assert game.cyclic.x_hat == 3
-        assert game.cyclic.t_hat == 3.0
 
     def test_inconsistent_cyclic_declaration(self):
         with pytest.raises(CyclicInconsistent):
@@ -178,8 +179,8 @@ class TestMakeCyclicGame:
     def test_two_box(self):
         game = make_cyclic_game(0.25, (1, 2), (1.0, 1.0))
         assert game.alpha == (0.75, 0.5)
+        assert game.cyclic == CyclicStructure(x=(1, 2), c=0.25)
         assert game.cyclic.x_hat == 3
-        assert game.cyclic.t_hat == 3.0
 
     def test_single_box(self):
         game = make_cyclic_game(0.5, (1,), (2.0,))

@@ -3,21 +3,34 @@
 import pytest
 
 import boxsearch.study as study_module
+import ruckle_oracle
 from boxsearch import SCHEMES, future_benefit, ruckle_sweep, run_batch, summarize
 from boxsearch.errors import BoxSearchError, EmptyGame
 from boxsearch.study import (
     BatchRecord,
     _ruckle_game,
+    _ruckle_max_h,
     _ruckle_pstar,
     _ruckle_tie_strategy,
     _ruckle_value,
-    extract_tie_index,
     read_batch_csv,
     read_ruckle_csv,
     two_box_games,
     two_box_study,
     write_batch_csv,
     write_ruckle_csv,
+)
+from ruckle_oracle import (
+    closed_form_value,
+    extract_tie_index,
+    scan_pstar,
+    scan_sweep,
+)
+
+# every alpha of the c3 acceptance test, i/40 and four small alphas
+_RUCKLE_GRID = sorted(
+    {i / 40 for i in range(1, 40)}
+    | {0.001, 0.003, 0.005, 0.01, 0.3, 0.35, 0.4, 0.5, 0.6, 0.65, 0.7, 0.9}
 )
 
 
@@ -87,6 +100,18 @@ class TestRunBatch:
         assert records[1].error == "NumericalFailure: injected"
         assert records[0].error is None and records[2].error is None
 
+    def test_unconverged_solve_is_recorded_as_an_error(self):
+        # below the payoff brackets' 1e-10 tolerance every solve stalls
+        records = run_batch(SCHEMES["varied"], 3, 12, epsilon=1e-13, seed=5)
+        solved = [r for r in records if r.p0_optimal is False]
+        assert len(solved) == 9
+        for r in solved:
+            assert r.error.startswith("stalled: gap ")
+            assert r.iterations >= 1 and r.v_star >= r.u_p0
+        assert all(r.error is None for r in records if r.p0_optimal)
+        stats = summarize(records)
+        assert stats.count == 3 and stats.solved == 0
+
 
 class TestSummarize:
     def test_all_optimal(self):
@@ -144,16 +169,55 @@ class TestRuckleSweep:
         assert r.p_star_1 == _ruckle_tie_strategy(0.001, r.h).p[0]
 
     def test_scan_that_ends_before_the_peak_raises(self, monkeypatch):
+        # the search, and the scan it replaced, both refuse to report a
+        # peak they have not seen u decrease after
         monkeypatch.setattr(study_module, "_ruckle_max_h", lambda alpha: 512)
-        with pytest.raises(BoxSearchError, match="not past its peak"):
+        with pytest.raises(BoxSearchError, match="not past its peak by h = 512"):
             _ruckle_pstar(0.001)
+        with pytest.raises(BoxSearchError, match="not past its peak"):
+            ruckle_sweep([0.5, 0.001])
+        monkeypatch.setattr(ruckle_oracle, "_ruckle_max_h", lambda alpha: 512)
+        with pytest.raises(BoxSearchError, match="not past its peak"):
+            scan_pstar(0.001)
         with pytest.raises(BoxSearchError, match="no index tie within 512"):
             extract_tie_index(0.001, _ruckle_tie_strategy(0.001, 1000).p[0])
 
     def test_extract_tie_index_at_kinks(self):
+        # p* is the tie strategy of the reported h: its two indices meet
+        # at search h, p alpha (1-alpha)^(h-1) = 1 - p
         for alpha, h in ((0.5, 2), (0.3, 3), (0.35, 3)):
+            (r,) = ruckle_sweep([alpha])
+            assert r.h == h
             p = 1.0 / (1.0 + alpha * (1.0 - alpha) ** (h - 1))
-            assert extract_tie_index(alpha, p) == h
+            assert r.p_star_1 == p
+            assert extract_tie_index(alpha, r.p_star_1) == h
+            assert p * alpha * (1.0 - alpha) ** (h - 1) == pytest.approx(
+                1.0 - p, rel=1e-12
+            )
+
+    def test_records_equal_the_scan(self):
+        def hexed(r):
+            return r.alpha.hex(), r.p0_1.hex(), r.p_star_1.hex(), r.h
+
+        assert ([hexed(r) for r in ruckle_sweep(_RUCKLE_GRID)]
+                == [hexed(r) for r in scan_sweep(_RUCKLE_GRID)])
+
+    def test_search_finds_the_closed_form_peak(self):
+        for alpha in _RUCKLE_GRID:
+            (r,) = ruckle_sweep([alpha])
+            if r.h == 1:
+                continue
+            values = [closed_form_value(alpha, h)
+                      for h in range(1, _ruckle_max_h(alpha) + 1)]
+            assert r.h == 1 + values.index(max(values)), f"alpha={alpha}"
+
+    def test_tiny_alpha_reports_the_closed_form_peak(self):
+        # the scan would evaluate 10 000 counters here
+        (r,) = ruckle_sweep([1e-4])
+        values = [closed_form_value(1e-4, h)
+                  for h in range(1, _ruckle_max_h(1e-4) + 1)]
+        assert r.h == 1 + values.index(max(values)) == 10000
+        assert r.p_star_1 == _ruckle_tie_strategy(1e-4, r.h).p[0]
 
 
 class TestTwoBoxStudy:
@@ -196,6 +260,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "ruckle.csv"
         write_ruckle_csv(records, path)
         assert read_ruckle_csv(path) == records
+        assert path.read_bytes().decode() == (
+            "# boxsearch-ruckle-v1\n"
+            "alpha,p0_1,p_star_1,h\r\n"
+            f"0.7,{records[0].p0_1!r},{records[0].p_star_1!r},1\r\n"
+            f"0.4,{records[1].p0_1!r},{records[1].p_star_1!r},{records[1].h}\r\n"
+        )
 
     def test_error_record_round_trip(self, tmp_path):
         import math as _math
@@ -211,6 +281,28 @@ class TestCsvRoundTrip:
         assert back.error == bad.error
         assert back.index == 9
         assert _math.isnan(back.v_star) and _math.isnan(back.pct_below)
+
+    def test_batch_file_layout(self, tmp_path):
+        # a comma and quotes in the error text are quoted by the csv
+        # module; None is an empty cell; floats are written by repr
+        records = [
+            record(p0_optimal=None, v_star=float("nan"),
+                   error='stalled: gap 1e-12, "late"'),
+            record(index=1, t=(0.1, 2.5), pct_below=1.25e-7),
+        ]
+        path = tmp_path / "batch.csv"
+        write_batch_csv(records, path)
+        assert path.read_bytes().decode() == (
+            "# boxsearch-batch-v1\n"
+            "index,scheme,t,alpha,v_star,u_p0,p0_optimal,pct_below,"
+            "iterations,wall_time,error\r\n"
+            '0,varied,1.0 2.0,0.3 0.7,nan,5.0,,0.0,0,0.01,'
+            '"stalled: gap 1e-12, ""late"""\r\n'
+            "1,varied,0.1 2.5,0.3 0.7,5.0,5.0,True,1.25e-07,0,0.01,\r\n"
+        )
+        back = read_batch_csv(path)
+        assert back[1] == records[1]
+        assert back[0].error == records[0].error and back[0].p0_optimal is None
 
     def test_version_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
