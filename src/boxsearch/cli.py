@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -77,17 +78,7 @@ def _cmd_batch(args) -> int:
         scheme, args.n, args.count, epsilon=args.epsilon, seed=args.seed
     )
     write_batch_csv(records, args.out)
-    stats = summarize(records)
-    _emit({
-        "out": args.out,
-        "count": stats.count,
-        "mean_pct_below": stats.mean_pct_below,
-        "p95_pct_below": stats.p95_pct_below,
-        "frac_p0_optimal": stats.frac_p0_optimal,
-        "solved": stats.solved,
-        "mean_iterations": stats.mean_iterations,
-        "p95_iterations": stats.p95_iterations,
-    })
+    _emit({"out": args.out, **dataclasses.asdict(summarize(records))})
     return EXIT_OK
 
 
@@ -96,22 +87,13 @@ def _cmd_ruckle(args) -> int:
     records = ruckle_sweep(alphas)
     if args.out:
         write_ruckle_csv(records, args.out)
-    _emit({
-        "records": [
-            {"alpha": r.alpha, "p0_1": r.p0_1, "p_star_1": r.p_star_1, "h": r.h}
-            for r in records
-        ],
-    })
+    _emit({"records": [dataclasses.asdict(r) for r in records]})
     return EXIT_OK
 
 
 def _cmd_two_box(args) -> int:
     result = two_box_study(args.count, seed=args.seed, epsilon=args.epsilon)
-    _emit({
-        "n_suboptimal": result.n_suboptimal,
-        "n_pstar_greater": result.n_pstar_greater,
-        "n_pstar_smaller": result.n_pstar_smaller,
-    })
+    _emit(result._asdict())
     return EXIT_OK
 
 

@@ -25,21 +25,26 @@ the n rotations sigma of (0, ..., n-1). Each searches every box once, in
 the order sigma, and then faces the same indices, so unless a later
 index tie lets the ordering matter again they share one tail and
 u(i, sigma) = alpha_i P_sigma(i) + D_i, with P_sigma(i) the end of box
-i's first search. Only the identity-ordered counter is realized; the
-other columns are its column shifted by alpha_i (P_sigma(i) -
-P_identity(i)), with its bracket half-widths. On cyclic games, and when
-that counter met a tie, every rotation is evaluated directly. A counter
-whose column was shifted is realized only if the final mixture uses it,
-and the certificate brackets it from its own series.
+i's first search. One builder, _p0_columns, makes these columns for the
+solve and for the p0 test alike. Only the identity-ordered counter is
+realized; the other columns are its column shifted by alpha_i
+(P_sigma(i) - P_identity(i)), with its bracket half-widths. On cyclic
+games, and when that counter met a tie, every column is evaluated from
+its own counter. A counter whose column was shifted is realized only if
+the final mixture uses it, and the certificate brackets it from its own
+series.
 
 A separate finite test decides whether the heuristic strategy p0 is
 exactly optimal: p0 is optimal in the full game if and only if it is
 optimal in the finite game restricted to the sigma-deterministic Gittins
 counters against p0, which reduces to comparing that game's value with
-u(p0). Unless a later index tie needs the ordering again, those
-counters differ only in the order of their first n searches, so that
-game is solved by column generation, pricing each new ordering with
-Smith's rule for single-machine weighted completion time.
+u(p0). The test is one loop over the builder's columns. Where they are
+shifted, those counters differ only in the order of their first n
+searches, and the loop is column generation from the n rotations,
+pricing each new ordering with Smith's rule for single-machine weighted
+completion time; u(p0) is the identity counter's bracket. Otherwise
+(cyclic games, a tie) it is one LP over all n! counters, and u(p0) is
+the bracket of the counter that pays least against p0.
 """
 
 from __future__ import annotations
@@ -192,38 +197,36 @@ def _p0_counters(game: SearchGame,
     return [gittins_sequence(game, start, sigma) for sigma in orderings]
 
 
-def _p0_column_model(game: SearchGame, reference: SearchSequence,
-                     values: np.ndarray):
-    """sigma -> u(., sigma) for the sigma counters to p0 that share the
-    tail of reference, an untied counter on a game that is not cyclic,
-    whose payoffs are values: u(i, sigma) = alpha_i P_sigma(i) + D_i."""
-    alpha = np.asarray(game.alpha)
-    shared = values - alpha * _completion_times(game, reference.prefix(game.n))
-    return lambda sigma: alpha * _completion_times(game, sigma) + shared
+def _p0_columns(game: SearchGame, orderings: list[TieOrdering]):
+    """The counters to p0 for orderings (the identity first), a matrix of
+    their midpoint payoffs with one column per ordering, the worst bracket
+    half-width among them, and the column model sigma -> u(., sigma).
 
-
-def _seed_columns(
-    game: SearchGame,
-) -> tuple[list[SearchSequence], np.ndarray, float]:
-    """The n rotation counters to p0, a matrix whose first n columns hold
-    their midpoint payoffs, and the worst bracket half-width among them.
-    The columns of all but the first are shifted from its column, as the
-    module docstring says, unless the game is cyclic or it met a tie."""
-    orderings = initial_orderings(game.n)
+    Column 0 is the identity counter's, realized. Unless the game is
+    cyclic or that counter met a tie, every counter to p0 shares its tail,
+    u(i, sigma) = alpha_i P_sigma(i) + D_i, and the other columns are its
+    column shifted by that model, their counters left unrealized.
+    Otherwise the model is None and every column is its counter's own.
+    """
     sequences = _p0_counters(game, orderings)
-    reference = sequences[0]
-    mat = np.empty((game.n, 2 * game.n))
-    values, worst_half = _column_values(game, reference)
+    mat = np.empty((game.n, len(orderings)))
+    values, worst_half = _column_values(game, sequences[0])
     mat[:, 0] = values
-    if game.cyclic is None and not reference.tied:
-        column_of = _p0_column_model(game, reference, values)
-        for k, o in enumerate(orderings[1:], 1):
-            mat[:, k] = column_of(o.sigma)
-    else:
-        for k, seq in enumerate(sequences[1:], 1):
-            mat[:, k], half = _column_values(game, seq)
+    column_of = None
+    if game.cyclic is None and not sequences[0].tied:
+        alpha = np.asarray(game.alpha)
+        shared = values - alpha * _completion_times(game, range(game.n))
+
+        def column_of(sigma):
+            return alpha * _completion_times(game, sigma) + shared
+
+    for k in range(1, len(orderings)):
+        if column_of is not None:
+            mat[:, k] = column_of(orderings[k].sigma)
+        else:
+            mat[:, k], half = _column_values(game, sequences[k])
             worst_half = max(worst_half, half)
-    return sequences, mat, worst_half
+    return sequences, mat, worst_half, column_of
 
 
 def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
@@ -231,7 +234,8 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     bracket."""
     cfg = config or SolveConfig()
     # column k holds the payoffs of sequences[k]; the LP reads a view
-    sequences, mat, worst_half = _seed_columns(game)
+    sequences, mat, worst_half, _ = _p0_columns(
+        game, initial_orderings(game.n))
     stored = {mat[:, k].tobytes() for k in range(len(sequences))}
 
     # the stability center: the best lower-bound point queried so far;
@@ -347,65 +351,46 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     each box once, in the order sigma, and then faces the same indices.
     Unless the tie ordering matters again later, all of them share one
     tail, and u(i, sigma) = alpha_i P_sigma(i) + D_i with D independent of
-    sigma. The finite game is then solved by column generation: the n
-    rotations to start, then at each LP optimum p the ordering that
-    minimizes p.u(., sigma), which is Smith's rule for weights p_i
-    alpha_i, until no ordering pays less than the LP value. On cyclic
+    sigma. The columns come from _p0_columns, as the solve's seed does,
+    and one loop solves the finite game over them. With the shared-tail
+    model it is column generation: the n rotations to start, then at each
+    LP optimum p the ordering that minimizes p.u(., sigma), which is
+    Smith's rule for weights p_i alpha_i, until no ordering pays less than
+    the LP value; u(p0) is the identity counter's bracket. On cyclic
     games, and where the identity-ordered counter meets a tie after its
-    first n searches, all n! counters are built instead.
+    first n searches, there is no model: the loop runs one LP over all n!
+    counters, each column from its own counter, and u(p0) is the bracket
+    of the counter that pays least against p0.
     """
-    if game.cyclic is not None:
-        return _p0_test_exhaustive(game)
+    column_of = None
+    if game.cyclic is None:
+        orderings = initial_orderings(game.n)
+        sequences, mat, _, column_of = _p0_columns(game, orderings)
+    if column_of is None:
+        orderings = all_orderings(game.n)
+        sequences, mat, _, _ = _p0_columns(game, orderings)
     start = p0(game)
-    reference = gittins_sequence(game, start)
-    u_p0 = expected_payoff(game, start, reference)
-    if reference.tied:
-        return _p0_test_exhaustive(game)
-    column_of = _p0_column_model(
-        game, reference, _column_values(game, reference)[0])
     alpha = np.asarray(game.alpha)
-
-    orderings = initial_orderings(game.n)
-    mat = np.empty((game.n, 2 * game.n))
-    for k, o in enumerate(orderings):
-        mat[:, k] = column_of(o.sigma)
-    stored = {o.sigma for o in orderings}
     lp = None
     while True:
         u = mat[:, :len(orderings)]
         lp = solve_hider_lp(u, warm=lp)
-        p = lp.p.as_array()
-        sigma = _smith_order(game, p * alpha)
-        if sigma in stored:
+        if column_of is None:
             break
-        column = column_of(sigma)
+        p = lp.p.as_array()
+        ordering = TieOrdering(_smith_order(game, p * alpha))
+        if ordering in orderings:
+            break
+        column = column_of(ordering.sigma)
         if p @ column >= lp.v * (1.0 - _PRICE_REL_TOL):
             break
         mat = _store_column(mat, len(orderings), column)
-        orderings.append(TieOrdering(sigma))
-        stored.add(sigma)
-    sequences = [reference] + _p0_counters(game, orderings[1:])
-    return _p0_result(game, u, lp, sequences, u_p0)
-
-
-def _p0_test_exhaustive(game: SearchGame) -> P0TestResult:
-    """test_p0_optimality over all n! counters, pairwise distinct; raises
-    CapExceeded above ORDERING_CAP boxes."""
-    sequences = _p0_counters(game, all_orderings(game.n))
-    u = np.column_stack(
-        [_column_values(game, seq)[0] for seq in sequences]
-    )
-    lp = solve_hider_lp(u)
-    start = p0(game)
-    best_col = int(np.argmin(start.as_array() @ u))
-    return _p0_result(game, u, lp, sequences,
-                      expected_payoff(game, start, sequences[best_col]))
-
-
-def _p0_result(game: SearchGame, u: np.ndarray, lp: LpSolution,
-               sequences: list[SearchSequence],
-               u_p0: PayoffBracket) -> P0TestResult:
-    """p0 is optimal iff u(p0) matches the finite game's value v_D."""
+        orderings.append(ordering)
+    # every counter pays u(p0) against p0: the identity's bracket when the
+    # other columns are shifted from it, else the cheapest column's
+    best = 0 if column_of is not None else int(np.argmin(start.as_array() @ u))
+    u_p0 = expected_payoff(game, start, sequences[best])
+    sequences += _p0_counters(game, orderings[len(sequences):])
     release_tables(game)
     theta = recover_searcher_mixture(u, lp)
     return P0TestResult(

@@ -143,14 +143,16 @@ def _run_one(idx, scheme_name, game, config) -> BatchRecord:
 
 
 def summarize(records: Iterable[BatchRecord]) -> BatchSummary:
-    """Mean/95th-percentile of pct_below over all clean records, fraction
-    p0-optimal, and iteration statistics over the solved (suboptimal)
-    games only."""
+    """Mean/95th-percentile of pct_below over all clean records, and
+    iteration statistics over the solved (suboptimal) games only. The
+    fraction p0-optimal is over every record the p0 test decided, clean
+    or not: a solve that did not converge leaves that decision valid."""
+    records = list(records)
     clean = [r for r in records if r.error is None]
     if not clean:
         raise EmptyGame("no usable records to summarize")
     pct = np.array([r.pct_below for r in clean])
-    tested = [r for r in clean if r.p0_optimal is not None]
+    tested = [r for r in records if r.p0_optimal is not None]
     frac = (
         sum(1 for r in tested if r.p0_optimal) / len(tested) if tested else None
     )

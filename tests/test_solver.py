@@ -21,6 +21,7 @@ from boxsearch import (
     solve,
     value_bounds,
 )
+from boxsearch import solver
 from boxsearch.errors import BoxNeverSearched, InvalidMixture
 from boxsearch.gittins import _GittinsDriver, from_pattern, initial_orderings
 from boxsearch.lp import solve_hider_lp
@@ -32,15 +33,15 @@ from boxsearch.solver import (
     _QUERY_WEIGHTS,
     _column_values,
     _mixture_certificate,
+    _p0_columns,
     _p0_counters,
-    _p0_test_exhaustive,
-    _seed_columns,
     _smith_order,
     write_trace,
 )
 from boxsearch.study import _ruckle_game
 from floors import FLOOR_SHRINK, FloorUnderflow, hider_floor
 from kelley_oracle import kelley_solve
+from p0_oracle import p0_test_exhaustive
 from payoff_oracle import mixed_payoff, payoff
 
 
@@ -255,8 +256,8 @@ class TestSolve:
 
 
 class TestSeedColumns:
-    """The first n columns of a solve: one realized counter, the other
-    rotations shifted from its column."""
+    """The first n columns of a solve and of a p0 test: one realized
+    counter, the other rotations shifted from its column."""
 
     @pytest.mark.parametrize("game", [
         *(sample_game(SCHEMES["varied"], n, per_game_seed(83, n))
@@ -264,8 +265,10 @@ class TestSeedColumns:
         _ruckle_game(0.5),
     ])
     def test_shifted_columns_match_direct(self, game):
-        sequences, mat, worst_half = _seed_columns(game)
+        sequences, mat, worst_half, column_of = _p0_columns(
+            game, initial_orderings(game.n))
         assert game.cyclic is None and not sequences[0].tied
+        assert column_of is not None and mat.shape == (game.n, game.n)
         # the shifted rotations stay unrealized, with no memoized column
         assert all(len(seq) == 0 and seq._column is None
                    for seq in sequences[1:])
@@ -310,13 +313,46 @@ class TestSeedColumns:
         cyclic = make_cyclic_game(0.3, (1, 2, 3, 1), (1.0, 2.0, 3.0, 1.5))
         tied = SearchGame(t=(1.0,) * 3, alpha=(0.4,) * 3)
         for game in (cyclic, tied):
-            sequences, mat, worst_half = _seed_columns(game)
+            sequences, mat, worst_half, column_of = _p0_columns(
+                game, initial_orderings(game.n))
             assert game is cyclic or sequences[0].tied
+            assert column_of is None
             for k, seq in enumerate(sequences):
                 assert seq._column is not None
                 values, half = _column_values(game, seq)
                 assert mat[:, k].tobytes() == values.tobytes()
                 assert half <= worst_half
+
+    @pytest.mark.parametrize("game, all_counters", [
+        (sample_game(SCHEMES["varied"], 3, per_game_seed(83, 3)), False),
+        (make_cyclic_game(0.25, (1, 2, 2), (1.0, 2.0, 1.5)), True),
+        (SearchGame(t=(1.0,) * 3, alpha=(0.4,) * 3), True),
+    ])
+    def test_p0_test_and_solve_seed_the_same_columns(self, monkeypatch,
+                                                     game, all_counters):
+        # the first LP of each holds the rotation counters' columns to
+        # the bit; the p0 test's holds all 3! orderings on a cyclic or a
+        # tied game
+        calls = []
+
+        def captured(u, **kwargs):
+            calls.append(u.copy())
+            return solve_hider_lp(u, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_hider_lp", captured)
+        p0_optimality(game)
+        p0_seed = calls[0]
+        calls.clear()
+        solve(game, SolveConfig(epsilon=1e-6))
+        solve_seed = calls[0]
+        rotations = initial_orderings(game.n)
+        tested = all_orderings(game.n) if all_counters else rotations
+        assert p0_seed.shape == (game.n, len(tested))
+        assert solve_seed.shape == (game.n, game.n)
+        sigmas = [o.sigma for o in tested]
+        for k, o in enumerate(rotations):
+            column = p0_seed[:, sigmas.index(o.sigma)]
+            assert solve_seed[:, k].tobytes() == column.tobytes()
 
 
 class TestSolveInvariants:
@@ -497,7 +533,7 @@ class TestP0ColumnGeneration:
         games += [_ruckle_game(a) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
         for game in games:
             fast = p0_optimality(game)
-            full = _p0_test_exhaustive(game)
+            full = p0_test_exhaustive(game)
             assert fast.optimal == full.optimal
             assert abs(fast.v_D - full.v_D) <= 1e-12 * full.v_D
 
@@ -548,5 +584,8 @@ class TestP0ColumnGeneration:
         game = make_cyclic_game(0.3, (1, 2, 3, 1), (1.0, 2.0, 3.0, 1.5))
         res = p0_optimality(game)
         assert res.sequences_used == math.factorial(4)
-        full = _p0_test_exhaustive(game)
-        assert (res.optimal, res.v_D) == (full.optimal, full.v_D)
+        full = p0_test_exhaustive(game)
+        assert ((res.optimal, res.v_D.hex(), res.u_p0.lower.hex(),
+                 res.u_p0.upper.hex())
+                == (full.optimal, full.v_D.hex(), full.u_p0.lower.hex(),
+                    full.u_p0.upper.hex()))

@@ -111,6 +111,9 @@ class TestRunBatch:
         assert all(r.error is None for r in records if r.p0_optimal)
         stats = summarize(records)
         assert stats.count == 3 and stats.solved == 0
+        # a stalled solve leaves the record's p0 decision valid, so the
+        # fraction counts all 12 tested games, not only the 3 clean ones
+        assert stats.frac_p0_optimal == 0.25
 
 
 class TestSummarize:
