@@ -29,7 +29,9 @@ the streams laid out in sigma order merges them by index, an exact tie
 going to the box earliest in sigma. A request deeper than the cap on a
 stream goes block by block (see _GittinsDriver). A pattern is tiled into
 blocks (see _PatternDriver). Per-box visit completion times are memoized
-so repeated payoff evaluations never regenerate prefixes.
+so repeated payoff evaluations never regenerate prefixes. The box order
+is kept as each block's box array, and becomes a Python list only when
+a caller reads the boxes themselves (a prefix, a cycle search, JSON).
 """
 
 from __future__ import annotations
@@ -206,25 +208,35 @@ class _GittinsDriver:
     start tie of the first n searches against p0."""
 
     __slots__ = ("order", "box_of", "rank", "t", "q", "q_list", "log_q",
-                 "rows", "idx", "settled", "pos", "tied")
+                 "rows", "idx", "settled", "pos", "tied", "_unloaded")
 
     def __init__(self, game: SearchGame, p: HidingStrategy,
                  order: TieOrdering | None, at_p0: bool):
-        (self.order, self.box_of, self.rank, self.t, self.q, self.q_list,
-         self.log_q, self.rows) = _ordered_params(game, order)
-        self.idx = [1.0] * game.n if at_p0 else [
-            p.p[b] * game.alpha[b] / game.t[b] for b in self.order
-        ]
+        # (game, order) until the stream constants are loaded: a counter
+        # to p0 starts every index at 1.0 and needs none of them before
+        # its first block, so one that is never realized builds none
+        self._unloaded = (game, order)
+        if at_p0:
+            self.idx = [1.0] * game.n
+        else:
+            self._load()
+            self.idx = [p.p[b] * game.alpha[b] / game.t[b]
+                        for b in self.order]
         # ties within the first `settled` searches are the designed start
         # tie at p0, which `tied` leaves out
         self.settled = game.n if at_p0 else 0
         self.pos = 0
         self.tied = False
 
+    def _load(self) -> None:
+        (self.order, self.box_of, self.rank, self.t, self.q, self.q_list,
+         self.log_q, self.rows) = _ordered_params(*self._unloaded)
+        self._unloaded = None
+
     def can_visit(self, i: int) -> bool:
         # index 0 means the box is never searched again: p_i = 0, or a
-        # perfect box already searched once
-        return self.idx[self.rank[i]] > 0.0
+        # perfect box already searched once; unloaded, every index is 1.0
+        return self._unloaded is not None or self.idx[self.rank[i]] > 0.0
 
     def take(self, steps: int | None,
              need: list[int] | None) -> Iterator[_Block]:
@@ -232,6 +244,8 @@ class _GittinsDriver:
         searches; NumericalFailure once every index is zero. With `need`,
         up to the search after which every box i has been searched need[i]
         more times or can never be searched again."""
+        if self._unloaded is not None:
+            self._load()
         if need is not None:
             need = [need[b] for b in self.order]
         while (steps > 0 if need is None else
@@ -398,8 +412,11 @@ class _PatternDriver:
 class SearchSequence:
     """A lazily extendable search sequence with memoized visit times.
 
-    boxes holds the realized prefix; visit time tau_i(r) (completion time
-    of the r-th search of box i, r >= 1) is available once realized.
+    The realized prefix is kept as the box arrays of the blocks appended,
+    joined into one list of boxes only when prefix(), to_jsonable() or a
+    cycle search reads it; len() is a running count. Visit time tau_i(r)
+    (completion time of the r-th search of box i, r >= 1) is available
+    once realized.
     Each box's visit times live in a float64 buffer that grows by
     doubling; a box's first block of visits becomes its buffer as it is.
     Completed prefixes are append-only, so values handed out never change.
@@ -408,15 +425,19 @@ class SearchSequence:
     """
 
     __slots__ = (
-        "game", "_boxes", "_visits", "_counts", "_elapsed", "_driver",
-        "cycle", "_column",
+        "game", "_boxes", "_blocks", "_length", "_visits", "_counts",
+        "_elapsed", "_driver", "cycle", "_column",
     )
 
     def __init__(self, game: SearchGame,
                  driver: _GittinsDriver | _PatternDriver,
                  cycle: CycleInfo | None = None):
         self.game = game
+        # the realized boxes: _boxes as a list, then the box arrays of the
+        # blocks appended since _box_list last read them
         self._boxes: list[int] = []
+        self._blocks: list[np.ndarray] = []
+        self._length = 0
         # box i's visit times are _visits[i][:_counts[i]]
         self._visits: list[np.ndarray] = [_NO_VISITS] * game.n
         self._counts: list[int] = [0] * game.n
@@ -446,7 +467,8 @@ class SearchSequence:
         times[1:] = driver.t[rows]
         times.cumsum(out=times)
         self._elapsed = float(times[-1])
-        self._boxes.extend(driver.box_of[rows].tolist())
+        self._blocks.append(driver.box_of[rows])
+        self._length += len(rows)
         by_row = np.empty(bounds[-1])
         by_row[slots] = times[1:]
         for b, start, k in zip(driver.order, bounds, counts):
@@ -464,26 +486,35 @@ class SearchSequence:
         for block in self._driver.take(steps, need):
             self._append_block(block)
 
+    def _box_list(self) -> list[int]:
+        """The realized boxes as a list, which later calls extend in place."""
+        if self._blocks:
+            self._boxes.extend(np.concatenate(self._blocks).tolist())
+            self._blocks.clear()
+        return self._boxes
+
     def _cut(self, length: int) -> None:
         """Drop every search past the first `length`, before any visit
         time is handed out."""
-        del self._boxes[length:]
+        boxes = self._box_list()
+        del boxes[length:]
+        self._length = length
         self._counts = [0] * self.game.n
-        for b in self._boxes:
+        for b in boxes:
             self._counts[b] += 1
-        last = self._boxes[-1]
+        last = boxes[-1]
         self._elapsed = float(self._visits[last][self._counts[last] - 1])
 
     def __len__(self) -> int:
-        return len(self._boxes)
+        return self._length
 
     def ensure_length(self, length: int) -> None:
-        if length > len(self._boxes):
-            self._realize(length - len(self._boxes), None)
+        if length > self._length:
+            self._realize(length - self._length, None)
 
     def prefix(self, length: int) -> tuple[int, ...]:
         self.ensure_length(length)
-        return tuple(self._boxes[:length])
+        return tuple(self._box_list()[:length])
 
     def num_visits(self, i: int) -> int:
         return self._counts[i]
@@ -515,7 +546,9 @@ class SearchSequence:
             boxes, counts = i, count
         need = [0] * self.game.n
         for b, c in zip(boxes, counts):
-            need[b] = max(need[b], c - self._counts[b])
+            k = c - self._counts[b]
+            if k > need[b]:
+                need[b] = k
         if not any(need):
             return
         self._realize(None, need)
@@ -550,7 +583,7 @@ class SearchSequence:
     def to_jsonable(self, length: int | None = None) -> dict:
         """Serialize as a 1-based box list, plus the cycle when detected."""
         if length is None:
-            length = len(self._boxes)
+            length = self._length
         out: dict = {"boxes": [b + 1 for b in self.prefix(length)]}
         if self.cycle is not None:
             out["cycle"] = {
@@ -639,13 +672,13 @@ def _find_cycle(seq: SearchSequence) -> CycleInfo | None:
     x = list(seq.game.cyclic.x)
     x_hat = seq.game.cyclic.x_hat
     budget = _CYCLE_STEP_BUDGET_FACTOR * x_hat
-    boxes = seq._boxes
     # window[i] counts box i's searches among the x_hat that end at search
     # `end`, the last one scanned
     window = [0] * len(x)
     end = 0
     while end < budget:
         seq.ensure_length(min(max(2 * end, 2 * x_hat), budget))
+        boxes = seq._box_list()
         while end < len(boxes):
             window[boxes[end]] += 1
             if end >= x_hat:

@@ -124,18 +124,19 @@ def _simplex_game(T: np.ndarray, basis: list[int], bland: bool) -> _Vertex:
             col = int(row0.argmin())
             if row0[col] >= -_ENTER_TOL:
                 break
-        column = T[1:, col]
-        tol = _PIVOT_TOL * max(1.0, column.max(), -column.min())
-        rows = (column > tol).nonzero()[0]
-        if rows.size == 0:
+        # the ratio test runs over at most n rows, in Python floats; among
+        # the near-ties, the row with the lowest basic index leaves
+        column = T[1:, col].tolist()
+        tol = _PIVOT_TOL * max(1.0, max(column), -min(column))
+        ratios = [(b / a, r)
+                  for r, (a, b) in enumerate(zip(column, rhs.tolist()))
+                  if a > tol]
+        if not ratios:
             raise NumericalFailure("unbounded pivot in a positive game")
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min()
-        near = rows[ratios <= best + 1e-12 * max(1.0, best)]
-        if near.size == 1:
-            leave = int(near[0])
-        else:
-            leave = int(min(near, key=lambda r: basis[r]))
+        best = min(ratios)[0]
+        cut = best + 1e-12 * max(1.0, best)
+        leave = min((r for ratio, r in ratios if ratio <= cut),
+                    key=basis.__getitem__)
         T[1 + leave] /= T[1 + leave, col]
         pivot_row = T[1 + leave]
         factors = T[:, col].copy()
@@ -150,13 +151,13 @@ def _simplex_game(T: np.ndarray, basis: list[int], bland: bool) -> _Vertex:
     obj = float(T[0, -1])
     if obj <= 0.0:
         raise NumericalFailure("nonpositive game objective")
-    # the basic values, in the slots of their variables; the slacks' fall
-    # past column m - 1 and are dropped
-    y = np.zeros(m + n)
-    y[basis] = rhs
     pi = np.maximum(T[0, m : m + n], 0.0)
     value = 1.0 / obj
-    theta = np.maximum(y[:m], 0.0) * value
+    # the basic columns' values; the slacks' are dropped
+    theta = np.zeros(m)
+    for k, y in zip(basis, rhs.tolist()):
+        if k < m and y > 0.0:
+            theta[k] = y * value
     total = float(pi.sum())
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
@@ -209,7 +210,7 @@ def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
                 f"begin the {n} x {m} payoff matrix"
             )
     new = u[:, old:]
-    if not ((new > 0.0) & (new < np.inf)).all():
+    if new.size and not (new.min() > 0.0 and new.max() < np.inf):
         raise NumericalFailure("payoff entries must be finite and > 0")
     w, theta, v, basis, pivots, tableau = _solve_game(u, warm)
     p = HidingStrategy(tuple((w / w.sum()).tolist()))

@@ -149,11 +149,11 @@ def _series_plan(game: SearchGame) -> _SeriesPlan:
         # powers[r - 1] = (1-alpha)^r; should rounding in the log formula
         # of _first_depths leave R short of its tail test, R grows here
         powers = np.cumprod(np.full(R + 1, 1.0 - a))
-        while l_hat * powers[R] / a > PAYOFF_REL_TOL * t * (1.0 - a):
+        while l_hat * powers.item(R) / a > PAYOFF_REL_TOL * t * (1.0 - a):
             R += 1
             powers = np.cumprod(np.full(R + 1, 1.0 - a))
         segments.append((powers[:R], start, start + R))
-        tail.append(l_hat * powers[R] / a)
+        tail.append(l_hat * powers.item(R) / a)
         depths.append(R)
         start += R + 1
     return _SeriesPlan(
@@ -213,11 +213,9 @@ def _series_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
     pass over every box's series at its depth from _series_plan. A box xi
     never searches (p_i = 0 in its counter) reads inf, at depth 0."""
     plan = _series_plan(game)
-    never = [i for i in range(game.n)
-             if not xi.num_visits(i) and not xi.can_visit_more(i)]
-    lengths = plan.lengths
-    if never:
-        lengths = [0 if i in never else k for i, k in enumerate(lengths)]
+    # no visits are asked of a box never searched
+    lengths = [k if xi.num_visits(i) or xi.can_visit_more(i) else 0
+               for i, k in enumerate(plan.lengths)]
     xi.ensure_visits(range(game.n), lengths)
     tau = xi.visit_prefixes(plan.lengths)
     steps = tau[1:] - tau[:-1]
@@ -228,9 +226,10 @@ def _series_column(game: SearchGame, xi: SearchSequence) -> PayoffColumn:
     lower = tau[plan.starts] + series
     upper = lower + plan.tail
     used = plan.depths
-    if never:
+    if 0 in lengths:
+        never = [i for i, k in enumerate(lengths) if not k]
         lower[never] = upper[never] = math.inf
-        used = tuple(0 if i in never else R for i, R in enumerate(used))
+        used = tuple(R if k else 0 for k, R in zip(lengths, used))
     return PayoffColumn(lower, upper, used)
 
 
@@ -293,16 +292,16 @@ def expected_payoff(
     infinite. Each side is summed with fsum.
     """
     lower, upper, used = payoff_column(game, xi)
+    lower, upper = lower.tolist(), upper.tolist()
     support = [i for i, pi in enumerate(p.p) if pi != 0.0]
     for i in support:
         if lower[i] == math.inf:
             raise BoxNeverSearched(
                 f"box {i} has p_i = {p.p[i]} > 0 but is never searched"
             )
-    w = np.array(p.p)[support]
     return PayoffBracket(
-        math.fsum((w * lower[support]).tolist()),
-        math.fsum((w * upper[support]).tolist()),
+        math.fsum([p.p[i] * lower[i] for i in support]),
+        math.fsum([p.p[i] * upper[i] for i in support]),
         max(used[i] for i in support),
     )
 

@@ -50,6 +50,7 @@ the bracket of the counter that pays least against p0.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -197,7 +198,8 @@ def _p0_counters(game: SearchGame,
     return [gittins_sequence(game, start, sigma) for sigma in orderings]
 
 
-def _p0_columns(game: SearchGame, orderings: list[TieOrdering]):
+def _p0_columns(game: SearchGame, orderings: list[TieOrdering],
+                exhaustive: bool = False):
     """The counters to p0 for orderings (the identity first), a matrix of
     their midpoint payoffs with one column per ordering, the worst bracket
     half-width among them, and the column model sigma -> u(., sigma).
@@ -206,20 +208,25 @@ def _p0_columns(game: SearchGame, orderings: list[TieOrdering]):
     cyclic or that counter met a tie, every counter to p0 shares its tail,
     u(i, sigma) = alpha_i P_sigma(i) + D_i, and the other columns are its
     column shifted by that model, their counters left unrealized.
-    Otherwise the model is None and every column is its counter's own.
+    Otherwise the model is None and every column is its counter's own;
+    with `exhaustive`, orderings is then first extended in place to all
+    n! orderings, the identity still first.
     """
-    sequences = _p0_counters(game, orderings)
-    mat = np.empty((game.n, len(orderings)))
-    values, worst_half = _column_values(game, sequences[0])
-    mat[:, 0] = values
+    identity = _p0_counters(game, orderings[:1])[0]
+    values, worst_half = _column_values(game, identity)
     column_of = None
-    if game.cyclic is None and not sequences[0].tied:
+    if game.cyclic is None and not identity.tied:
         alpha = np.asarray(game.alpha)
         shared = values - alpha * _completion_times(game, range(game.n))
 
         def column_of(sigma):
             return alpha * _completion_times(game, sigma) + shared
 
+    elif exhaustive:
+        orderings[1:] = all_orderings(game.n)[1:]
+    sequences = [identity] + _p0_counters(game, orderings[1:])
+    mat = np.empty((game.n, len(orderings)))
+    mat[:, 0] = values
     for k in range(1, len(orderings)):
         if column_of is not None:
             mat[:, k] = column_of(orderings[k].sigma)
@@ -256,7 +263,7 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
         # the LP sees bracket midpoints; inflating its value by the worst
         # half-width keeps the reported upper bound certified
         upper = lp.v + worst_half
-        weights = _QUERY_WEIGHTS + ((1.0,) if np.all(p_k > 0) else ())
+        weights = _QUERY_WEIGHTS + ((1.0,) if all(lp.p.p) else ())
         added = None
         mispriced = 0
         lower_before = lower
@@ -325,9 +332,10 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
 def _completion_times(game: SearchGame, sigma: tuple[int, ...]) -> np.ndarray:
     """P_sigma(i): the time at which box i's search ends when every box is
     searched once, in the order sigma."""
-    times = np.empty(game.n)
-    times[list(sigma)] = np.cumsum([game.t[i] for i in sigma])
-    return times
+    times = [0.0] * game.n
+    for i, end in zip(sigma, itertools.accumulate(game.t[i] for i in sigma)):
+        times[i] = end
+    return np.array(times)
 
 
 def _smith_order(game: SearchGame, weights: np.ndarray) -> tuple[int, ...]:
@@ -362,13 +370,9 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
     counters, each column from its own counter, and u(p0) is the bracket
     of the counter that pays least against p0.
     """
-    column_of = None
-    if game.cyclic is None:
-        orderings = initial_orderings(game.n)
-        sequences, mat, _, column_of = _p0_columns(game, orderings)
-    if column_of is None:
-        orderings = all_orderings(game.n)
-        sequences, mat, _, _ = _p0_columns(game, orderings)
+    orderings = initial_orderings(game.n)
+    sequences, mat, _, column_of = _p0_columns(game, orderings,
+                                               exhaustive=True)
     start = p0(game)
     alpha = np.asarray(game.alpha)
     lp = None

@@ -11,7 +11,9 @@ The oracle also keeps the warm start boxsearch used to make: rebuild the
 tableau from the original matrix as B^-1 [A | I | 1] at the renumbered
 previous basis, refusing a singular or infeasible one. The solver now
 extends the previous optimal tableau instead, which must reach the same
-basis in the same pivots, with values equal up to rounding.
+basis in the same pivots, with values equal up to rounding. From that
+extended tableau itself, pivot_tableau must return the solver's vertex
+bit for bit.
 """
 
 from typing import Sequence
@@ -64,10 +66,17 @@ def simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
     The optimal row strategy w comes from the dual prices, the column
     strategy theta from the primal y, and the game value is 1 / 1'y.
     """
-    n, m = A.shape
     T = start_tableau(A, basis)
     if T is None:
         raise NumericalFailure("start basis is singular or infeasible")
+    return pivot_tableau(T, basis, bland)
+
+
+def pivot_tableau(T: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
+    """Pivot T, a primal feasible tableau of max 1'y s.t. Ay <= 1, y >= 0
+    at basis, to optimality in place, and read off its vertex."""
+    n = T.shape[0] - 1
+    m = T.shape[1] - n - 1
     basis = list(basis)
 
     max_pivots = 200 + 60 * (m + n)

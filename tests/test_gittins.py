@@ -195,6 +195,62 @@ class TestSearchSequence:
         assert payload["boxes"] == [1, 2, 2, 1, 2, 2]
         assert payload["cycle"] == {"pattern": [1, 2, 2], "entry": [0, 0]}
 
+    def test_box_list_from_several_requests(self):
+        # blocks appended by several requests, the box list read between
+        # some of them: the same boxes as one request and as the oracle
+        rng = np.random.default_rng(88)
+        game = sample_game(SCHEMES["varied"], 5, rng)
+        for p, order in ((_random_p(rng, 5), None),
+                         (p0(game), TieOrdering((3, 1, 4, 0, 2)))):
+            several = gittins_sequence(game, p, order)
+            several.ensure_length(7)
+            several.ensure_visits([0, 3], [40, 25])
+            head = several.prefix(5)
+            several.ensure_length(300)
+            several.ensure_visits(2, 90)
+            several.ensure_visits(range(5), [60, 10, 95, 30, 50])
+            length = len(several)
+            once = gittins_sequence(game, p, order)
+            once.ensure_length(length)
+            oracle = OracleSequence(game, p, order)
+            oracle.ensure_length(length)
+            assert len(once) == len(oracle) == length > 300
+            boxes = several.prefix(length)
+            assert boxes == once.prefix(length) == tuple(oracle.boxes)
+            assert head == boxes[:5]
+            assert (several.to_jsonable() == once.to_jsonable()
+                    == {"boxes": [b + 1 for b in oracle.boxes]})
+            assert len(several) == length
+
+    def test_cycle_window_across_blocks(self, monkeypatch):
+        # blocks of a few searches each: the first window of most cycles
+        # spans blocks, and every cycle and its boxes are those found in
+        # whole-request blocks
+        rng = np.random.default_rng(96)
+        cases = []
+        for _ in range(20):
+            game = _cyclic_game(rng)
+            p = _random_p(rng, game.n)
+            seq = gittins_sequence(game, p)
+            cases.append((game, p, seq.cycle, seq.prefix(len(seq))))
+        ends = []
+        append_block = SearchSequence._append_block
+
+        def recorded(self, block):
+            append_block(self, block)
+            ends.append(len(self))
+
+        monkeypatch.setattr(gittins_module, "_MAX_WIDTH", 2)
+        monkeypatch.setattr(SearchSequence, "_append_block", recorded)
+        spanned = 0
+        for game, p, cycle, boxes in cases:
+            ends.clear()
+            seq = gittins_sequence(game, p)
+            assert seq.cycle == cycle and seq.prefix(len(seq)) == boxes
+            start = sum(cycle.entry)
+            spanned += any(start < end < len(boxes) for end in ends)
+        assert spanned >= 15
+
 
 class TestCyclicSequence:
     def test_integer_rule_identity_order(self):

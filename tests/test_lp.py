@@ -21,7 +21,7 @@ from boxsearch.lp import (
 )
 from boxsearch.model import per_game_seed
 from kelley_oracle import floored_lp
-from tableau_oracle import simplex_game
+from tableau_oracle import pivot_tableau, simplex_game
 
 
 def matrix(rows) -> np.ndarray:
@@ -211,6 +211,24 @@ class TestWarmStart:
                 assert_same_vertex(u, True)
                 if warm is not None:
                     assert_appended_matches_refactor(u, warm)
+
+    def test_warm_vertices_match_the_tableau_oracle(self, replays):
+        # every warm pass of the replays, from the same appended tableau:
+        # the oracle's NumPy ratio test reaches the same vertex bit for bit
+        for calls in replays:
+            for u, warm, _ in calls[1:]:
+                old, m = len(warm.theta), u.shape[1]
+                start = [k if k < old else k + m - old for k in warm.basis]
+                a, b = (
+                    simplex(_appended_tableau(warm._tableau, u[:, old:]),
+                            list(start), False)
+                    for simplex in (_simplex_game, pivot_tableau)
+                )
+                assert np.array_equal(a.w, b.w)
+                assert np.array_equal(a.theta, b.theta)
+                assert (a.value, a.basis, a.pivots) == (
+                    b.value, b.basis, b.pivots)
+                assert np.array_equal(a.tableau, b.tableau)
 
     @pytest.mark.parametrize("bland", [False, True])
     def test_tied_ratio_test_matches_the_tableau_oracle(self, bland):

@@ -22,6 +22,8 @@ from boxsearch import (
     value_bounds,
 )
 from boxsearch import solver
+import boxsearch.gittins as gittins_module
+import boxsearch.payoff as payoff_module
 from boxsearch.errors import BoxNeverSearched, InvalidMixture
 from boxsearch.gittins import _GittinsDriver, from_pattern, initial_orderings
 from boxsearch.lp import solve_hider_lp
@@ -309,6 +311,25 @@ class TestSeedColumns:
             elif o.sigma != orderings[0].sigma:
                 assert len(seq) == 0
 
+    def test_shifted_counters_defer_their_constants(self, monkeypatch):
+        # of the n = 5 rotation counters only the realized identity loads
+        # its stream constants; a shifted one loads them once realized
+        loaded = []
+        ordered_params = gittins_module._ordered_params
+
+        def recorded(game, order):
+            loaded.append(order.sigma)
+            return ordered_params(game, order)
+
+        monkeypatch.setattr(gittins_module, "_ordered_params", recorded)
+        game = sample_game(SCHEMES["varied"], 5, per_game_seed(83, 5))
+        orderings = initial_orderings(game.n)
+        sequences, _, _, column_of = _p0_columns(game, orderings)
+        assert column_of is not None
+        assert loaded == [orderings[0].sigma]
+        assert sequences[2].prefix(5) == orderings[2].sigma
+        assert loaded == [orderings[0].sigma, orderings[2].sigma]
+
     def test_cyclic_and_tied_games_evaluate_every_counter(self):
         cyclic = make_cyclic_game(0.3, (1, 2, 3, 1), (1.0, 2.0, 3.0, 1.5))
         tied = SearchGame(t=(1.0,) * 3, alpha=(0.4,) * 3)
@@ -579,6 +600,24 @@ class TestP0ColumnGeneration:
                 for w, seq in zip(res.theta, res.sequences) if w > 0
             )
             assert val <= res.v_D * (1 + 1e-9)
+
+    def test_tied_game_evaluates_each_counter_once(self, monkeypatch):
+        # the tied identity counter goes straight to the n! LP as its
+        # first column: 4! = 24 columns evaluated, none of them discarded
+        game = SearchGame(t=(1.0, 1.0, 2.0, 3.0), alpha=(0.5, 0.5, 0.3, 0.6))
+        full = p0_test_exhaustive(game)
+        evaluated = []
+        column_uncached = payoff_module._column_uncached
+
+        def counted(game, xi):
+            evaluated.append(xi)
+            return column_uncached(game, xi)
+
+        monkeypatch.setattr(payoff_module, "_column_uncached", counted)
+        res = p0_optimality(game)
+        assert len(evaluated) == res.sequences_used == 24
+        assert ((res.optimal, res.v_D.hex(), res.u_p0, res.theta)
+                == (full.optimal, full.v_D.hex(), full.u_p0, full.theta))
 
     def test_cyclic_game_takes_all_counters(self):
         game = make_cyclic_game(0.3, (1, 2, 3, 1), (1.0, 2.0, 3.0, 1.5))
