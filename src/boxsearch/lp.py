@@ -21,6 +21,11 @@ u (recover_searcher_mixture) bounds what it can do to a solve's result.
 A cold solve starts from the slack basis B = I, which is always feasible,
 and a warm pass that fails falls back to it.
 
+Only the last LP of a solve has its searcher mixture read, so a
+solution derives theta from its tableau, basis and value the first time
+theta is read, and keeps it. A solution's tableau is never pivoted in
+place once returned: a warm start works on an extended copy.
+
 Instances are tiny (n+1 effective variables, tens to hundreds of
 columns), so a hand-rolled tableau keeps the solve deterministic:
 Dantzig's rule with lowest-index tie-breaks, and Bland's rule as the
@@ -29,6 +34,7 @@ fallback when the pivot budget is hit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +48,23 @@ _PIVOT_TOL = 1e-11
 DUAL_REL_TOL = 1e-9
 
 
+class _DerivedTheta:
+    """LpSolution.theta: kept as given, or, left at its default, derived
+    by _searcher_mixture on first read and kept from then on."""
+
+    def __get__(self, solution, owner=None):
+        if solution is None:
+            # the dataclass default, which reads as "derive on read"
+            return self
+        theta = solution.__dict__["theta"]
+        if theta is None:
+            theta = solution.__dict__["theta"] = _searcher_mixture(solution)
+        return theta
+
+    def __set__(self, solution, theta):
+        solution.__dict__["theta"] = None if theta is self else theta
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Optimal hider strategy p, game value v, and the searcher's dual
@@ -51,24 +74,75 @@ class LpSolution:
     the slack of row j as m + j; passed back as a warm start it is
     renumbered for the appended columns. pivots counts the simplex pivots
     of the pass that found this vertex. _tableau is the optimal tableau,
-    which a warm start extends by the appended columns.
+    which a warm start extends by the appended columns. theta, unless
+    given, is derived from the tableau's basic values the first time it
+    is read: small weights are pruned as dual noise and the rest
+    renormalized.
     """
 
     p: HidingStrategy
     v: float
-    theta: np.ndarray
+    theta: np.ndarray = field(default=_DerivedTheta(), kw_only=True)
     basis: tuple[int, ...]
     pivots: int
     _tableau: np.ndarray = field(compare=False, repr=False)
 
+    @property
+    def columns(self) -> int:
+        """The number of payoff columns this LP was solved over."""
+        rows, width = self._tableau.shape
+        return width - rows
+
 
 class _Vertex(NamedTuple):
-    w: np.ndarray
-    theta: np.ndarray
+    w: list[float]
     value: float
     basis: tuple[int, ...]
     pivots: int
     tableau: np.ndarray
+
+
+def _vertex_theta(T: np.ndarray, basis, value: float) -> np.ndarray:
+    """The column strategy at the vertex of tableau T: y_k times the game
+    value for each basic column k, 0 elsewhere (and for nonpositive y)."""
+    n = T.shape[0] - 1
+    m = T.shape[1] - n - 1
+    theta = np.zeros(m)
+    for k, y in zip(basis, T[1:, -1].tolist()):
+        if k < m and y > 0.0:
+            theta[k] = y * value
+    return theta
+
+
+def _searcher_mixture(solution: LpSolution) -> np.ndarray:
+    """The vertex's column strategy with dual noise pruned and the rest
+    renormalized; a vertex already mixes <= n columns."""
+    theta = _vertex_theta(solution._tableau, solution.basis, solution.v)
+    theta[theta <= 1e-12 * max(1.0, theta.max())] = 0.0
+    theta /= theta.sum()
+    return theta
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """The float64 sum of values in NumPy's order, without an array: one
+    running sum below 8 terms; up to 128, eight interleaved running sums
+    added pairwise, then the rest in turn; above, the sums of two halves
+    split at a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return sum(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    whole = n - n % 8
+    lanes = values[:8]
+    for start in range(8, whole, 8):
+        lanes = [a + b for a, b in zip(lanes, values[start:start + 8])]
+    r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[whole:]:
+        total += v
+    return total
 
 
 def _start_tableau(A: np.ndarray) -> np.ndarray:
@@ -106,8 +180,9 @@ def _simplex_game(T: np.ndarray, basis: list[int], bland: bool) -> _Vertex:
     feasible tableau of max 1'y s.t. Ay <= 1, y >= 0 at basis; T and
     basis are pivoted in place.
 
-    The optimal row strategy w comes from the dual prices, the column
-    strategy theta from the primal y, and the game value is 1 / 1'y.
+    The optimal row strategy w comes from the dual prices and the game
+    value is 1 / 1'y; the column strategy, from the primal y, is left to
+    _vertex_theta.
     """
     n = T.shape[0] - 1
     m = T.shape[1] - n - 1
@@ -151,18 +226,14 @@ def _simplex_game(T: np.ndarray, basis: list[int], bland: bool) -> _Vertex:
     obj = float(T[0, -1])
     if obj <= 0.0:
         raise NumericalFailure("nonpositive game objective")
-    pi = np.maximum(T[0, m : m + n], 0.0)
-    value = 1.0 / obj
-    # the basic columns' values; the slacks' are dropped
-    theta = np.zeros(m)
-    for k, y in zip(basis, rhs.tolist()):
-        if k < m and y > 0.0:
-            theta[k] = y * value
-    total = float(pi.sum())
+    # the dual prices clipped at 0 as np.maximum does: NaN stays, -0.0
+    # reads 0.0
+    pi = [0.0 if x <= 0.0 else x for x in T[0, m : m + n].tolist()]
+    total = _numpy_sum(pi)
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
-    w = pi / total
-    return _Vertex(w, theta, value, tuple(basis), pivots, T)
+    w = [x / total for x in pi]
+    return _Vertex(w, 1.0 / obj, tuple(basis), pivots, T)
 
 
 def _solve_game(A: np.ndarray, warm: LpSolution | None) -> _Vertex:
@@ -171,7 +242,7 @@ def _solve_game(A: np.ndarray, warm: LpSolution | None) -> _Vertex:
     basis by Dantzig's rule, then Bland's."""
     n, m = A.shape
     if warm is not None:
-        old = len(warm.theta)
+        old = warm.columns
         # the slacks follow the columns, so they move up by the new ones
         basis = [k if k < old else k + m - old for k in warm.basis]
         try:
@@ -202,23 +273,20 @@ def solve_hider_lp(u: np.ndarray, warm: LpSolution | None = None) -> LpSolution:
     n, m = u.shape
     old = 0
     if warm is not None:
-        old = len(warm.theta)
+        old = warm.columns
         rows = warm._tableau.shape[0] - 1
         if rows != n or old > m:
             raise ValueError(
                 f"warm start solved a {rows} x {old} game, which does not "
                 f"begin the {n} x {m} payoff matrix"
             )
-    new = u[:, old:]
-    if new.size and not (new.min() > 0.0 and new.max() < np.inf):
+    # NaN fails both comparisons
+    if not all(0.0 < a < math.inf for a in u[:, old:].ravel().tolist()):
         raise NumericalFailure("payoff entries must be finite and > 0")
-    w, theta, v, basis, pivots, tableau = _solve_game(u, warm)
-    p = HidingStrategy(tuple((w / w.sum()).tolist()))
-    # prune dual noise and renormalize; a vertex already mixes <= n columns
-    theta[theta <= 1e-12 * max(1.0, theta.max())] = 0.0
-    theta /= theta.sum()
-    return LpSolution(p=p, v=v, theta=theta, basis=basis, pivots=pivots,
-                      _tableau=tableau)
+    w, v, basis, pivots, tableau = _solve_game(u, warm)
+    total = _numpy_sum(w)
+    p = HidingStrategy(tuple([x / total for x in w]))
+    return LpSolution(p=p, v=v, basis=basis, pivots=pivots, _tableau=tableau)
 
 
 def recover_searcher_mixture(u: np.ndarray,

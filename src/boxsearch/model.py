@@ -155,10 +155,12 @@ class HidingStrategy:
     def __post_init__(self):
         if len(self.p) == 0:
             raise InvalidHidingStrategy("empty probability vector")
-        if not all(pi >= 0 for pi in self.p):
+        # min() steps over a NaN after the first entry, but the sum is
+        # then NaN and fails below; a NaN first entry is the min
+        if not min(self.p) >= 0:
             raise InvalidHidingStrategy(f"invalid probability in {self.p}")
         total = math.fsum(self.p)
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise InvalidHidingStrategy(f"probabilities sum to {total}, not 1")
 
     @property

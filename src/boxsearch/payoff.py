@@ -49,6 +49,9 @@ PAYOFF_REL_TOL = 1e-10
 # for is realized and stored, so a game needing more is refused
 DEPTH_CAP = 10_000_000
 
+# the series plan takes the powers of boxes up to this depth from one grid
+_GRID_DEPTH = 4096
+
 
 @dataclass(frozen=True)
 class PayoffBracket:
@@ -143,12 +146,20 @@ class _SeriesPlan(NamedTuple):
 @_once_per_game
 def _series_plan(game: SearchGame) -> _SeriesPlan:
     l_hat = tail_params(game).l_hat
+    first = _first_depths(game)
+    # the powers of the boxes no deeper than _GRID_DEPTH, from one
+    # row-wise cumprod, which multiplies as a per-box cumprod does; a
+    # deeper box takes its own, so the grid stays small whatever the depths
+    width = min(max(first), _GRID_DEPTH) + 1
+    grid = np.empty((game.n, width))
+    grid[:] = [[1.0 - a] for a in game.alpha]
+    grid.cumprod(axis=1, out=grid)
     segments, tail, depths = [], [], []
     start = 0
-    for R, t, a in zip(_first_depths(game), game.t, game.alpha):
+    for R, t, a, row in zip(first, game.t, game.alpha, grid):
         # powers[r - 1] = (1-alpha)^r; should rounding in the log formula
         # of _first_depths leave R short of its tail test, R grows here
-        powers = np.cumprod(np.full(R + 1, 1.0 - a))
+        powers = row if R < width else np.cumprod(np.full(R + 1, 1.0 - a))
         while l_hat * powers.item(R) / a > PAYOFF_REL_TOL * t * (1.0 - a):
             R += 1
             powers = np.cumprod(np.full(R + 1, 1.0 - a))
@@ -307,9 +318,11 @@ def expected_payoff(
 
 
 def check_mixture_weights(weights: list[float]) -> None:
-    """Refuse searcher mixture weights that are negative or do not sum to
-    1 (to 1e-9, with fsum)."""
-    if any(w < 0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-9:
+    """Refuse searcher mixture weights that are negative, not finite (NaN
+    included) or do not sum to 1 (to 1e-9, with fsum)."""
+    if (not all(0.0 <= w < math.inf for w in weights)
+            or abs(math.fsum(weights) - 1.0) > 1e-9):
         raise InvalidMixture(
-            f"mixture weights must be >= 0 and sum to 1, got {weights}"
+            f"mixture weights must be finite, >= 0 and sum to 1, got "
+            f"{weights}"
         )

@@ -32,7 +32,10 @@ realized; the other columns are its column shifted by alpha_i
 games, and when that counter met a tie, every column is evaluated from
 its own counter. A counter whose column was shifted is realized only if
 the final mixture uses it, and the certificate brackets it from its own
-series.
+series. Given the p0 test's result on the same game, the solve starts
+from that test's realized identity counter, whose column is memoized,
+and, where the test shifted its columns, from the test's first LP, which
+is the solve's own first LP over the same n columns.
 
 A separate finite test decides whether the heuristic strategy p0 is
 exactly optimal: p0 is optimal in the full game if and only if it is
@@ -52,7 +55,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,12 +147,18 @@ class Solution:
 
 @dataclass(frozen=True)
 class P0TestResult:
+    """sequences[0] is the realized identity counter to p0. _first_lp is
+    the LP over the n rotation columns where the test shifted its
+    columns (else None), which a solve of the same game starts from."""
+
     optimal: bool
     v_D: float
     u_p0: PayoffBracket
     theta: tuple[float, ...]
     sequences: tuple[SearchSequence, ...]
     sequences_used: int
+    _first_lp: LpSolution | None = field(default=None, compare=False,
+                                         repr=False)
 
 
 def _store_column(mat: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
@@ -199,12 +208,14 @@ def _p0_counters(game: SearchGame,
 
 
 def _p0_columns(game: SearchGame, orderings: list[TieOrdering],
-                exhaustive: bool = False):
+                exhaustive: bool = False,
+                identity: SearchSequence | None = None):
     """The counters to p0 for orderings (the identity first), a matrix of
     their midpoint payoffs with one column per ordering, the worst bracket
     half-width among them, and the column model sigma -> u(., sigma).
 
-    Column 0 is the identity counter's, realized. Unless the game is
+    Column 0 is the identity counter's, realized; `identity`, when given,
+    is that counter, else a new one is built. Unless the game is
     cyclic or that counter met a tie, every counter to p0 shares its tail,
     u(i, sigma) = alpha_i P_sigma(i) + D_i, and the other columns are its
     column shifted by that model, their counters left unrealized.
@@ -212,7 +223,8 @@ def _p0_columns(game: SearchGame, orderings: list[TieOrdering],
     with `exhaustive`, orderings is then first extended in place to all
     n! orderings, the identity still first.
     """
-    identity = _p0_counters(game, orderings[:1])[0]
+    if identity is None:
+        identity = _p0_counters(game, orderings[:1])[0]
     values, worst_half = _column_values(game, identity)
     column_of = None
     if game.cyclic is None and not identity.tied:
@@ -236,13 +248,27 @@ def _p0_columns(game: SearchGame, orderings: list[TieOrdering],
     return sequences, mat, worst_half, column_of
 
 
-def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
+def solve(game: SearchGame, config: SolveConfig | None = None,
+          p0_test: P0TestResult | None = None) -> Solution:
     """Run the smoothed cutting-plane solve to an epsilon-certified value
-    bracket."""
+    bracket.
+
+    p0_test, the p0 test's result on this game, saves work the test has
+    done: the solve takes its identity counter to p0, and its first LP
+    where it has one, and returns what it would without them. A result
+    from another game is refused with ValueError.
+    """
     cfg = config or SolveConfig()
+    identity = lp = None
+    if p0_test is not None:
+        identity = p0_test.sequences[0]
+        if identity.game != game:
+            raise ValueError("p0_test is the p0 test of another game")
+        lp = p0_test._first_lp
     # column k holds the payoffs of sequences[k]; the LP reads a view
     sequences, mat, worst_half, _ = _p0_columns(
-        game, initial_orderings(game.n))
+        game, initial_orderings(game.n), identity=identity)
+    u = mat[:, :len(sequences)]
     stored = {mat[:, k].tobytes() for k in range(len(sequences))}
 
     # the stability center: the best lower-bound point queried so far;
@@ -250,8 +276,6 @@ def solve(game: SearchGame, config: SolveConfig | None = None) -> Solution:
     p_best = p0(game)
     lower = expected_payoff(game, p_best, sequences[0]).lower
     trace: list[IterationRecord] = []
-    lp: LpSolution | None = None
-    u: np.ndarray | None = None
     added: int | None = None
     stalled = False
     for k in range(1, cfg.max_iterations + 1):
@@ -375,12 +399,14 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
                                                exhaustive=True)
     start = p0(game)
     alpha = np.asarray(game.alpha)
-    lp = None
+    lp = first_lp = None
     while True:
         u = mat[:, :len(orderings)]
         lp = solve_hider_lp(u, warm=lp)
         if column_of is None:
             break
+        if first_lp is None:
+            first_lp = lp
         p = lp.p.as_array()
         ordering = TieOrdering(_smith_order(game, p * alpha))
         if ordering in orderings:
@@ -404,6 +430,7 @@ def test_p0_optimality(game: SearchGame) -> P0TestResult:
         theta=tuple(theta.tolist()),
         sequences=tuple(sequences),
         sequences_used=len(sequences),
+        _first_lp=first_lp,
     )
 
 

@@ -127,7 +127,7 @@ def _run_one(idx, scheme_name, game, config) -> BatchRecord:
         # v_D and u(p0) are independently rounded values of one number
         pct_below = 0.0
     else:
-        sol = solve(game, config)
+        sol = solve(game, config, p0_test=result)
         v_star = sol.U
         iterations = sol.iterations
         pct_below = 100.0 * (v_star - u_p0) / v_star
@@ -267,10 +267,11 @@ def two_box_study(
     config = SolveConfig(epsilon=epsilon)
     n_sub = n_greater = n_smaller = 0
     for game in two_box_games(count, seed):
-        if test_p0_optimality(game).optimal:
+        result = test_p0_optimality(game)
+        if result.optimal:
             continue
         n_sub += 1
-        sol = solve(game, config)
+        sol = solve(game, config, p0_test=result)
         if sol.p_star.p[0] > p0(game).p[0]:
             n_greater += 1
         else:

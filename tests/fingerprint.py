@@ -9,6 +9,8 @@ Pools:
   solve-n8    solve on sample_game(varied, 8, per_game_seed(1, k)), k < 40
   p0-n5       p0 test on sample_game(varied, 5, per_game_seed(1, k)), k < 200
   batch-n3    run_batch(varied, 3, 300, seed=1), wall times left out
+  seeded-n3   the solve seeded from the p0 test on the batch-n3 games whose
+              p0 is suboptimal: its outputs, as the solve pools hash them
   cyclic      solve and p0 test on 50 seeded make_cyclic_game games
   corners     solve and p0 test on the wide game t = (1e-3, 1e3), alpha =
               (1e-4, 0.5), the two perfect-box games and the twin game
@@ -42,9 +44,9 @@ def _text(value) -> str:
     return repr(value)
 
 
-def _solve_outputs(game) -> tuple:
+def _solve_outputs(game, p0_test=None) -> tuple:
     try:
-        sol = solve(game)
+        sol = solve(game, p0_test=p0_test)
     except BoxSearchError as exc:
         return ("error", type(exc).__name__, str(exc))
     return (sol.L, sol.U, sol.iterations, sol.termination.value,
@@ -101,6 +103,11 @@ def pools():
         (r.index, r.t, r.alpha, r.v_star, r.u_p0, r.p0_optimal,
          r.pct_below, r.iterations, r.error)
         for r in run_batch(varied, 3, 300, seed=1)
+    ]
+    tests = [(game, test_p0_optimality(game)) for game in (
+        sample_game(varied, 3, per_game_seed(1, k)) for k in range(300))]
+    yield "seeded-n3", [
+        _solve_outputs(game, test) for game, test in tests if not test.optimal
     ]
     yield "cyclic", [
         (_solve_outputs(game), _p0_outputs(game))

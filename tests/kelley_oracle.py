@@ -38,7 +38,7 @@ def floored_lp(u: np.ndarray, delta: np.ndarray) -> FlooredLp:
     s = 1.0 - float(delta.sum())
     # a cold solve: the oracle carries no tableau between its LPs
     vertex = _solve_game(s * u + delta @ u, warm=None)
-    p = delta + s * vertex.w
+    p = delta + s * np.asarray(vertex.w)
     p = p / p.sum()
     binding = any(s * wi <= 1e-9 * di for wi, di in zip(vertex.w, delta))
     return FlooredLp(HidingStrategy(tuple(p.tolist())), vertex.value, binding)

@@ -5,7 +5,8 @@ Every pivot, ratio test and dual-price extraction here is the original
 one, written for clarity: y is read row by row, the leaving row is always
 picked with min(key=...), and every temporary is built afresh. From the
 slack basis, the solver's _simplex_game must return the very same vertex
-(w, theta, value, basis, pivots and tableau) on every LP.
+(w, value, basis, pivots and tableau) on every LP, and lp._vertex_theta
+the same theta from it.
 
 The oracle also keeps the warm start boxsearch used to make: rebuild the
 tableau from the original matrix as B^-1 [A | I | 1] at the renumbered
@@ -16,12 +17,24 @@ extended tableau itself, pivot_tableau must return the solver's vertex
 bit for bit.
 """
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from boxsearch.errors import NumericalFailure
-from boxsearch.lp import _ENTER_TOL, _PIVOT_TOL, _Vertex
+from boxsearch.lp import _ENTER_TOL, _PIVOT_TOL
+
+
+class Vertex(NamedTuple):
+    """The solver's vertex, with the column strategy theta that the
+    solver derives apart (lp._vertex_theta)."""
+
+    w: np.ndarray
+    theta: np.ndarray
+    value: float
+    basis: tuple[int, ...]
+    pivots: int
+    tableau: np.ndarray
 
 # a start basis whose B^-1 1 has an entry below -_FEAS_TOL * max(1, max
 # entry) is infeasible; entries above that are rounding and read as 0
@@ -59,7 +72,7 @@ def start_tableau(A: np.ndarray, basis: Sequence[int]) -> np.ndarray | None:
     return T
 
 
-def simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
+def simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> Vertex:
     """Solve the positive matrix game A (rows maximize), starting from a
     basis of max 1'y s.t. Ay <= 1, y >= 0.
 
@@ -72,7 +85,7 @@ def simplex_game(A: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
     return pivot_tableau(T, basis, bland)
 
 
-def pivot_tableau(T: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
+def pivot_tableau(T: np.ndarray, basis: Sequence[int], bland: bool) -> Vertex:
     """Pivot T, a primal feasible tableau of max 1'y s.t. Ay <= 1, y >= 0
     at basis, to optimality in place, and read off its vertex."""
     n = T.shape[0] - 1
@@ -126,4 +139,4 @@ def pivot_tableau(T: np.ndarray, basis: Sequence[int], bland: bool) -> _Vertex:
     if total <= 0.0:
         raise NumericalFailure("degenerate dual prices")
     w = pi / total
-    return _Vertex(w, theta, value, tuple(basis), pivots, T)
+    return Vertex(w, theta, value, tuple(basis), pivots, T)

@@ -14,8 +14,10 @@ from boxsearch.errors import DualInconsistent, Infeasible, NumericalFailure
 from boxsearch.lp import (
     DUAL_REL_TOL,
     _appended_tableau,
+    _numpy_sum,
     _simplex_game,
     _start_tableau,
+    _vertex_theta,
     recover_searcher_mixture,
     solve_hider_lp,
 )
@@ -153,7 +155,9 @@ def assert_same_vertex(u, bland):
     if isinstance(a, str) or isinstance(b, str):
         assert a == b
     else:
-        assert np.array_equal(a.w, b.w) and np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(_vertex_theta(a.tableau, a.basis, a.value),
+                              b.theta)
         assert (a.value, a.basis, a.pivots) == (b.value, b.basis, b.pivots)
         assert np.array_equal(a.tableau, b.tableau)
 
@@ -162,7 +166,7 @@ def assert_appended_matches_refactor(u, warm):
     """The pass from warm's tableau extended by u's new columns reaches
     the basis the oracle reaches by refactoring warm's renumbered basis,
     in as many pivots, with v within 1e-12 relative and p within 1e-10."""
-    old, m = len(warm.theta), u.shape[1]
+    old, m = warm.columns, u.shape[1]
     start = [k if k < old else k + m - old for k in warm.basis]
     a = _simplex_game(_appended_tableau(warm._tableau, u[:, old:]),
                       list(start), False)
@@ -217,7 +221,7 @@ class TestWarmStart:
         # the oracle's NumPy ratio test reaches the same vertex bit for bit
         for calls in replays:
             for u, warm, _ in calls[1:]:
-                old, m = len(warm.theta), u.shape[1]
+                old, m = warm.columns, u.shape[1]
                 start = [k if k < old else k + m - old for k in warm.basis]
                 a, b = (
                     simplex(_appended_tableau(warm._tableau, u[:, old:]),
@@ -225,7 +229,8 @@ class TestWarmStart:
                     for simplex in (_simplex_game, pivot_tableau)
                 )
                 assert np.array_equal(a.w, b.w)
-                assert np.array_equal(a.theta, b.theta)
+                assert np.array_equal(
+                    _vertex_theta(a.tableau, a.basis, a.value), b.theta)
                 assert (a.value, a.basis, a.pivots) == (
                     b.value, b.basis, b.pivots)
                 assert np.array_equal(a.tableau, b.tableau)
@@ -325,6 +330,44 @@ class TestWarmStart:
             assert abs(hot.v - cold.v) <= DUAL_REL_TOL * max(1.0, cold.v)
         u, _, last = calls[-1]
         recover_searcher_mixture(u, last)
+
+
+class TestNumpySum:
+    def test_numpy_sum_order(self):
+        # the dual prices are summed in Python floats in NumPy's order:
+        # below 8 terms in turn, from 8 pairwise, past 128 in halves
+        rng = np.random.default_rng(66)
+        for n in range(1, 300):
+            for _ in range(5):
+                a = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+                assert _numpy_sum(a.tolist()) == float(a.sum())
+
+
+class TestDerivedTheta:
+    def test_a_solve_derives_theta_once(self, monkeypatch):
+        # only the final LP's mixture is read, so it alone is derived, and
+        # once: later reads return the kept array
+        derived = []
+        mixture = boxsearch.lp._searcher_mixture
+
+        def counted(solution):
+            derived.append(solution)
+            return mixture(solution)
+
+        monkeypatch.setattr(boxsearch.lp, "_searcher_mixture", counted)
+        game = sample_game(SCHEMES["varied"], 3, per_game_seed(7, 1))
+        calls = solve_lp_calls(game)
+        assert len(calls) > 1
+        final = calls[-1][2]
+        assert derived == [final]
+        assert final.theta is final.theta and derived == [final]
+
+    def test_given_theta_is_kept(self):
+        sol = solve_hider_lp(matrix([[3, 4], [4, 3]]))
+        theta = np.array([1.0, 0.0])
+        assert replace(sol, theta=theta).theta is theta
+        # replace reads the derived theta and passes it on
+        assert replace(sol, pivots=0).theta is sol.theta
 
 
 class TestRecoverSearcherMixture:

@@ -218,6 +218,18 @@ class TestHidingStrategy:
         with pytest.raises(InvalidHidingStrategy):
             HidingStrategy((math.nan, math.nan))
 
+    @pytest.mark.parametrize("p", [
+        (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+        (math.nan, math.inf, -math.inf), (1.5, -0.5), (-math.inf, 1.0),
+        (math.inf, 0.0), (), (0.5, 0.5 + 1e-11), (0.5, 0.5 - 1e-11),
+    ])
+    def test_refusals(self, p):
+        with pytest.raises(InvalidHidingStrategy):
+            HidingStrategy(p)
+
+    def test_sum_within_tolerance_accepted(self):
+        assert HidingStrategy((0.5, 0.5 + 1e-13)).n == 2
+
     def test_support(self):
         assert HidingStrategy((0.5, 0.5)).full_support
         assert not HidingStrategy((1.0, 0.0)).full_support

@@ -39,7 +39,9 @@ from boxsearch.payoff import (
     PAYOFF_REL_TOL,
     PayoffColumn,
     _first_depths,
+    _GRID_DEPTH,
     _series_plan,
+    check_mixture_weights,
     payoff_column,
 )
 from boxsearch.solver import test_p0_optimality as p0_optimality
@@ -167,6 +169,24 @@ class TestFirstDepths:
         for a, low, high in ((1e-4, 4.1e5, 4.3e5), (1e-5, 4.6e6, 4.7e6)):
             depth = _first_depths(SearchGame(t=(1.0, 1.0), alpha=(a, 0.5)))[0]
             assert low < depth < high < DEPTH_CAP
+
+    def test_series_powers_are_per_box_products(self):
+        # the grid's rows hold the per-box cumprod's powers to the bit; a
+        # box deeper than _GRID_DEPTH takes its own, so the grid stays
+        # n rows of at most _GRID_DEPTH + 1
+        for game in (sample_game(SCHEMES["varied"], 5, per_game_seed(3, 1)),
+                     SearchGame(t=(1.0, 1.0), alpha=(1e-4, 0.5))):
+            plan = _series_plan(game)
+            for (powers, start, stop), R, a in zip(
+                    plan.segments, plan.depths, game.alpha):
+                assert stop - start == R
+                assert powers.tobytes() == (
+                    np.cumprod(np.full(R + 1, 1.0 - a))[:R].tobytes())
+                owner = powers if powers.base is None else powers.base
+                if R < _GRID_DEPTH:
+                    assert owner.size <= game.n * (_GRID_DEPTH + 1)
+                else:
+                    assert owner.size == R + 1
 
     def test_unreachable_depth_refused(self):
         # 5.1e7 searches of box 0 before its first bracket: refused before
@@ -502,6 +522,15 @@ class TestExpectedAndMixed:
             mixed_payoff(game, 0, [(0.7, seq)])
         with pytest.raises(InvalidMixture):
             mixed_payoff(game, 0, [(-0.5, seq), (1.5, seq)])
+
+    @pytest.mark.parametrize("weights", [
+        [math.nan, 1.0], [math.nan], [0.5, math.nan, 0.5],
+        [math.inf, 1.0], [1.0, -math.inf],
+    ])
+    def test_weights_must_be_finite(self, weights):
+        # NaN passes both w < 0 and the sum test unless refused as such
+        with pytest.raises(InvalidMixture):
+            check_mixture_weights(weights)
 
 
 class TestMonteCarlo:

@@ -1,6 +1,7 @@
 """End-to-end solves, trace invariants, and the p0 optimality test."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +375,63 @@ class TestSeedColumns:
         for k, o in enumerate(rotations):
             column = p0_seed[:, sigmas.index(o.sigma)]
             assert solve_seed[:, k].tobytes() == column.tobytes()
+
+    @staticmethod
+    def seed_game(name: str, monkeypatch) -> SearchGame:
+        if name == "stratified-n8":
+            monkeypatch.syspath_prepend(
+                str(Path(__file__).resolve().parents[1] / "perfbench"))
+            from workloads import stratified_games
+
+            return stratified_games(1, 8, 3)[1]
+        return {
+            "plain-n3": sample_game(SCHEMES["varied"], 3, per_game_seed(7, 1)),
+            "cyclic": make_cyclic_game(0.25, (1, 2, 2), (1.0, 2.0, 1.5)),
+            "twin": SearchGame(t=(1.0, 1.0, 2.0, 3.0),
+                               alpha=(0.5, 0.5, 0.3, 0.6)),
+            "p0-optimal": sample_game(SCHEMES["varied"], 3,
+                                      per_game_seed(7, 0)),
+        }[name]
+
+    @pytest.mark.parametrize("name", [
+        "plain-n3", "stratified-n8", "cyclic", "twin", "p0-optimal"])
+    def test_seeded_solve_is_the_solve(self, monkeypatch, name):
+        # the solve seeded from the p0 test returns the unseeded solve's
+        # outputs to the bit: it shares the test's identity counter and,
+        # where the test shifted its columns, skips its own first LP
+        game = self.seed_game(name, monkeypatch)
+        cfg = SolveConfig(epsilon=1e-6)
+        calls = []
+
+        def counted(u, **kwargs):
+            calls.append(u.shape)
+            return solve_hider_lp(u, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_hider_lp", counted)
+        plain = solve(game, cfg)
+        plain_calls = len(calls)
+        test = p0_optimality(game)
+        if name in ("plain-n3", "p0-optimal"):
+            assert test.optimal is (name == "p0-optimal")
+        calls.clear()
+        seeded = solve(game, cfg, p0_test=test)
+        shifted = name in ("plain-n3", "stratified-n8", "p0-optimal")
+        assert (test._first_lp is not None) is shifted
+        assert len(calls) == plain_calls - shifted
+        assert seeded.sequences[0] is test.sequences[0]
+        outputs = [
+            (sol.L.hex(), sol.U.hex(), sol.iterations, sol.termination,
+             sol.p_star, [w.hex() for w in sol.theta], sol.trace,
+             [len(seq) for seq in sol.sequences])
+            for sol in (plain, seeded)
+        ]
+        assert outputs[0] == outputs[1]
+
+    def test_p0_test_of_another_game_refused(self):
+        game = sample_game(SCHEMES["varied"], 3, per_game_seed(7, 1))
+        other = sample_game(SCHEMES["varied"], 3, per_game_seed(7, 2))
+        with pytest.raises(ValueError, match="another game"):
+            solve(game, p0_test=p0_optimality(other))
 
 
 class TestSolveInvariants:
