@@ -124,24 +124,26 @@ def _searcher_mixture(solution: LpSolution) -> np.ndarray:
 
 
 def _numpy_sum(values: list[float]) -> float:
-    """The float64 sum of values in NumPy's order, without an array: one
-    running sum below 8 terms; up to 128, eight interleaved running sums
-    added pairwise, then the rest in turn; above, the sums of two halves
-    split at a multiple of 8."""
+    """The float64 sum of values in NumPy's order: one running sum below
+    8 terms; up to 128, eight interleaved running sums added pairwise,
+    then the rest in turn, with no array built; past 128, NumPy's own."""
     n = len(values)
-    if n < 8:
-        return sum(values)
     if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+        return float(np.sum(values))
+    if n < 8:
+        # a loop, not sum(), which compensates its rounding from Python 3.12
+        total = 0.0
+        for x in values:
+            total += x
+        return total
     whole = n - n % 8
     lanes = values[:8]
     for start in range(8, whole, 8):
         lanes = [a + b for a, b in zip(lanes, values[start:start + 8])]
     r0, r1, r2, r3, r4, r5, r6, r7 = lanes
     total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in values[whole:]:
-        total += v
+    for x in values[whole:]:
+        total += x
     return total
 
 

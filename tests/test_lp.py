@@ -335,10 +335,10 @@ class TestWarmStart:
 class TestNumpySum:
     def test_numpy_sum_order(self):
         # the dual prices are summed in Python floats in NumPy's order:
-        # below 8 terms in turn, from 8 pairwise, past 128 in halves
+        # below 8 terms in turn, from 8 in eight lanes, past 128 by NumPy
         rng = np.random.default_rng(66)
-        for n in range(1, 300):
-            for _ in range(5):
+        for n in range(1, 140):
+            for _ in range(20):
                 a = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
                 assert _numpy_sum(a.tolist()) == float(a.sum())
 
